@@ -105,7 +105,6 @@ _PARAM_SCHEMA = {
         "low": {"type": "number"},
         "high": {"type": "number"},
         "choices": {"type": "array", "minItems": 1},
-        "initial": {},
         "iteration_axis": {"type": "boolean"},
     },
 }
@@ -130,12 +129,8 @@ _ASHA_PARAMS_SCHEMA = {
         "max_time_units": {"type": "integer", "minimum": 1},
         "reduction_factor": {"type": "integer", "minimum": 2},
         "grace_period": {"type": "integer", "minimum": 1},
-        "brackets": {"type": "integer", "minimum": 1},
         "stratum_mode": {"type": "boolean"},
         "constraint_interval_fixed": {"type": "boolean"},
-        "truncation_percentage": {
-            "type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1
-        },
     },
 }
 
@@ -233,7 +228,6 @@ def _build_space(space_cfg: dict) -> SearchSpace:
                 low=entry.get("low"),
                 high=entry.get("high"),
                 choices=tuple(entry.get("choices", ())),
-                initial=entry.get("initial"),
                 iteration_axis=entry.get("iteration_axis", False),
             )
         )
@@ -266,15 +260,11 @@ def _scheduler_factory(
         return lambda history: AceScheduler(config, history)
     if kind in ("asha", "asha_callback"):
         config = AshaConfig(
-            max_time_units=params.get(
-                "max_time_units", int(space.iteration_axis.high)
-            ),
+            max_time_units=params.get("max_time_units", space.max_iterations),
             reduction_factor=params.get("reduction_factor", 4),
             grace_period=params.get("grace_period", 1),
-            brackets=params.get("brackets", 1),
             stratum_mode=params.get("stratum_mode", False),
             constraint_interval_fixed=params.get("constraint_interval_fixed", True),
-            truncation_percentage=params.get("truncation_percentage", 0.25),
         )
         if kind == "asha":
             return lambda history: AshaScheduler(config, history)
@@ -314,38 +304,37 @@ DECISION_HEADER = (
 TRIAL_HEADER = (
     "trial_id", "max_iterations", "interval", "best_opt", "best_iteration", "status",
 )
-SUMMARY_HEADER = (
-    "arm", "seed", "best_feasible_score", "time_to_best", "feasible_found",
+# RunResult attributes reported per (arm, seed), in summary.csv column order.
+SUMMARY_FIELDS = (
+    "best_feasible_score", "time_to_best", "feasible_found",
     "total_trials", "completed_trials", "stopped_trials", "truncated_trials",
     "primary_iterations", "constraint_evaluations", "interval_every_iteration",
     "interval_final_only", "interval_unscheduled", "total_cost",
 )
+SUMMARY_HEADER = ("arm", "seed", *SUMMARY_FIELDS)
 
 
 def _write_run_files(out_dir: Path, arm: str, seed: int, result: RunResult) -> None:
+    """Trace rows for every checkpoint entry, decision rows for loop checkpoints."""
     prefix = f"{arm}_seed{seed}"
-    _write_csv(
-        out_dir / f"{prefix}_trace.csv",
-        TRACE_HEADER,
-        [
+    trace_rows, decision_rows = [], []
+    for entry in result.history.records:
+        r, d = entry.record, entry.decision
+        trace_rows.append(
             (
-                row.trial_id, row.iteration, row.opt_metric, row.constraint_value,
-                row.group, row.violation_amount, row.sim_time,
+                r.trial_id, r.iteration, r.opt_metric, r.constraint_value,
+                r.group.value, r.violation_amount, entry.sim_time,
             )
-            for row in result.trace_rows
-        ],
-    )
-    _write_csv(
-        out_dir / f"{prefix}_decisions.csv",
-        DECISION_HEADER,
-        [
-            (
-                row.sim_time, row.trial_id, row.iteration, row.action,
-                row.evaluate_constraint, row.group, row.rank, row.group_size,
+        )
+        if d is not None:
+            decision_rows.append(
+                (
+                    entry.sim_time, r.trial_id, r.iteration, d.action.value,
+                    d.evaluate_constraint, d.group.value, d.rank, d.group_size,
+                )
             )
-            for row in result.decision_rows
-        ],
-    )
+    _write_csv(out_dir / f"{prefix}_trace.csv", TRACE_HEADER, trace_rows)
+    _write_csv(out_dir / f"{prefix}_decisions.csv", DECISION_HEADER, decision_rows)
     _write_csv(
         out_dir / f"{prefix}_trials.csv",
         TRIAL_HEADER,
@@ -360,22 +349,7 @@ def _write_run_files(out_dir: Path, arm: str, seed: int, result: RunResult) -> N
 
 
 def _per_seed_record(seed: int, result: RunResult) -> dict:
-    return {
-        "seed": seed,
-        "best_feasible_score": result.best_feasible_score,
-        "time_to_best": result.time_to_best,
-        "feasible_found": result.feasible_found,
-        "total_trials": result.total_trials,
-        "completed_trials": result.completed_trials,
-        "stopped_trials": result.stopped_trials,
-        "truncated_trials": result.truncated_trials,
-        "primary_iterations": result.primary_iterations,
-        "constraint_evaluations": result.constraint_evaluations,
-        "interval_every_iteration": result.interval_every_iteration,
-        "interval_final_only": result.interval_final_only,
-        "interval_unscheduled": result.interval_unscheduled,
-        "total_cost": result.total_cost,
-    }
+    return {"seed": seed, **{field: getattr(result, field) for field in SUMMARY_FIELDS}}
 
 
 def _mean_std(values: Sequence[float]) -> tuple[float | None, float | None]:
@@ -447,17 +421,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             _write_run_files(out_dir, name, seed, result)
             record = _per_seed_record(seed, result)
             per_seed.append(record)
-            summary_rows.append(
-                (
-                    name, seed, record["best_feasible_score"], record["time_to_best"],
-                    record["feasible_found"], record["total_trials"],
-                    record["completed_trials"], record["stopped_trials"],
-                    record["truncated_trials"], record["primary_iterations"],
-                    record["constraint_evaluations"],
-                    record["interval_every_iteration"], record["interval_final_only"],
-                    record["interval_unscheduled"], record["total_cost"],
-                )
-            )
+            summary_rows.append((name, seed, *(record[f] for f in SUMMARY_FIELDS)))
         summary = {
             "arm": name,
             "scheduler": arm["scheduler"],

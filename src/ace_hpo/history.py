@@ -1,11 +1,15 @@
 """Running tuning history: checkpoint records, feasibility state, cost ledger.
 
-Every checkpoint of every trial lands here as an immutable record tagged
-with its constraint group: ``no_constraint`` when the constraint was not
-evaluated, else ``valid`` or ``invalid`` against an upper-bound threshold.
-The history also tracks the best feasible optimization metric seen so far
-(metrics are minimized internally) and a ledger of charged costs from which
-the empirical constraint-to-training cost ratio is estimated.
+Every checkpoint of every trial lands here exactly once, as one entry of
+``RunningHistory.records``: an immutable record tagged with its constraint
+group (``no_constraint`` when the constraint was not evaluated, else
+``valid`` or ``invalid`` against an upper-bound threshold), the ledger's
+total cost when it landed, and, for checkpoints of the training loop, the
+scheduler's decision. The trace and decision files are projections of that
+one list. The history also tracks the best feasible optimization metric
+seen so far (metrics are minimized internally) and a ledger of charged
+costs from which the empirical constraint-to-training cost ratio is
+estimated.
 """
 
 from __future__ import annotations
@@ -13,11 +17,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from .schedulers import SchedulerDecision
 
 __all__ = [
     "Group",
     "ConstraintSpec",
     "CheckpointRecord",
+    "CheckpointEntry",
     "CostLedger",
     "TrialSnapshot",
     "RunningHistory",
@@ -92,6 +101,19 @@ class CheckpointRecord:
                 raise ValueError("invalid record requires a positive violation amount")
 
 
+@dataclass(slots=True)
+class CheckpointEntry:
+    """One checkpoint of a run.
+
+    Holds the record, the cost clock when it landed, and the scheduler
+    decision it produced (None for post-hoc scan evaluations).
+    """
+
+    record: CheckpointRecord
+    sim_time: float
+    decision: SchedulerDecision | None = None
+
+
 @dataclass
 class CostLedger:
     """Accumulated charges, split by kind, with sample counts for averaging."""
@@ -112,6 +134,11 @@ class CostLedger:
             raise ValueError("cost must be nonnegative")
         self.total_constraint_cost += cost
         self.constraint_cost_count += 1
+
+    @property
+    def total_cost(self) -> float:
+        """Every charge so far; the simulated clock reads exactly this sum."""
+        return self.total_primary_cost + self.total_constraint_cost
 
     def cost_ratio(self) -> float | None:
         """Average constraint cost over average training-iteration cost.
@@ -148,12 +175,12 @@ class RunningHistory:
 
     def __init__(self, constraint: ConstraintSpec):
         self.constraint = constraint
-        self.records: list[CheckpointRecord] = []
+        self.records: list[CheckpointEntry] = []
         self.best_feasible_score: float = math.inf
         self.ledger = CostLedger()
         self._snapshots: dict[int, TrialSnapshot] = {}
 
-    def record_checkpoint(self, record: CheckpointRecord) -> None:
+    def record_checkpoint(self, record: CheckpointRecord) -> CheckpointEntry:
         if record.group is Group.VALID and not self.constraint.is_satisfied(record.constraint_value):
             raise ValueError("valid record with constraint value above the threshold")
         if record.group is Group.INVALID:
@@ -162,7 +189,8 @@ class RunningHistory:
             expected = self.constraint.violation(record.constraint_value)
             if not math.isclose(record.violation_amount, expected, rel_tol=1e-9, abs_tol=1e-12):
                 raise ValueError("violation amount inconsistent with value and threshold")
-        self.records.append(record)
+        entry = CheckpointEntry(record, self.ledger.total_cost)
+        self.records.append(entry)
         if record.group is Group.VALID and record.opt_metric < self.best_feasible_score:
             self.best_feasible_score = record.opt_metric
         snap = self._snapshots.get(record.trial_id)
@@ -180,16 +208,7 @@ class RunningHistory:
             if record.group is Group.INVALID:
                 snap.latest_violation = record.violation_amount
             snap.latest_iteration = record.iteration
-
-    def group_subset(self, group: Group, latest_per_trial: bool = False) -> list[CheckpointRecord]:
-        """Records of one group in arrival order, optionally deduplicated per trial."""
-        subset = [r for r in self.records if r.group is group]
-        if not latest_per_trial:
-            return subset
-        latest: dict[int, CheckpointRecord] = {}
-        for record in subset:
-            latest[record.trial_id] = record
-        return list(latest.values())
+        return entry
 
     def group_members(self, group: Group) -> list[TrialSnapshot]:
         """Trials whose most recent checkpoint sits in the given group."""
@@ -197,7 +216,3 @@ class RunningHistory:
 
     def trial_snapshot(self, trial_id: int) -> TrialSnapshot | None:
         return self._snapshots.get(trial_id)
-
-    @property
-    def trial_count(self) -> int:
-        return len(self._snapshots)

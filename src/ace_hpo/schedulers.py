@@ -18,8 +18,10 @@ feasibility at each trial's final iteration, and a post-hoc feasibility
 scan for fully constraint-agnostic runs.
 
 Every scheduler records one checkpoint per training iteration into a shared
-:class:`~ace_hpo.history.RunningHistory`; the simulator performs the actual
-metered metric evaluations and charges their costs.
+:class:`~ace_hpo.history.RunningHistory` and attaches its decision to that
+checkpoint's entry; the simulator performs the actual metered metric
+evaluations and charges their costs. A trial's constraint-evaluation
+interval is whatever ``on_trial_start`` returns (None: no schedule).
 """
 
 from __future__ import annotations
@@ -150,13 +152,13 @@ class TrialScheduler:
 
     def __init__(self, history: RunningHistory):
         self.history = history
-        self.interval_choices: dict[int, int] = {}
 
     @property
     def constraint(self) -> ConstraintSpec:
         return self.history.constraint
 
     def on_trial_start(self, trial_id: int, max_iterations: int) -> int | None:
+        """Start a trial; return its constraint-evaluation interval, if any."""
         return None
 
     def wants_constraint(
@@ -181,16 +183,18 @@ class TrialScheduler:
 
         ``evaluate`` performs (and charges) the constraint evaluation at the
         current iteration; it is called at most once. A trial reaching its
-        final iteration completes regardless of the stopping rule.
+        final iteration completes regardless of the stopping rule. The
+        decision is attached to the checkpoint's history entry.
         """
         want = self.wants_constraint(trial_id, iteration, max_iterations, opt_metric)
         value = evaluate() if want else None
         record = self.constraint.classify(trial_id, iteration, opt_metric, value)
-        self.history.record_checkpoint(record)
+        entry = self.history.record_checkpoint(record)
         action, rank, size = self.decide(trial_id, iteration, max_iterations, record)
         if iteration >= max_iterations:
             action = Action.CONTINUE
-        return SchedulerDecision(action, want, record.group, rank, size)
+        entry.decision = SchedulerDecision(action, want, record.group, rank, size)
+        return entry.decision
 
 
 class AceScheduler(TrialScheduler):
@@ -201,6 +205,7 @@ class AceScheduler(TrialScheduler):
     def __init__(self, config: AceConfig, history: RunningHistory):
         super().__init__(history)
         self.config = config
+        self.interval_choices: dict[int, int] = {}
 
     def on_trial_start(self, trial_id: int, max_iterations: int) -> int:
         """Fix the trial's constraint-evaluation interval for its lifetime.
@@ -255,10 +260,8 @@ class AshaConfig:
     max_time_units: int
     reduction_factor: int = 4
     grace_period: int = 1
-    brackets: int = 1
     stratum_mode: bool = False
     constraint_interval_fixed: bool = True
-    truncation_percentage: float = 0.25
 
     def __post_init__(self) -> None:
         if self.reduction_factor < 2:
@@ -267,8 +270,6 @@ class AshaConfig:
             raise ValueError("grace_period must be >= 1")
         if self.max_time_units < self.grace_period:
             raise ValueError("max_time_units must be >= grace_period")
-        if self.brackets != 1:
-            raise ValueError("only single-bracket operation is supported")
 
     @property
     def rungs(self) -> tuple[int, ...]:
@@ -303,14 +304,15 @@ class AshaScheduler(TrialScheduler):
         return self.config.stratum_mode
 
     def on_trial_start(self, trial_id: int, max_iterations: int) -> int | None:
-        if not self.config.stratum_mode:
+        """In adaptive stratum mode, T for a single final check, else 1.
+
+        The endpoint rule maps onto the two schedules this scheduler has:
+        evaluate at every rung (reported as interval 1), or once at the
+        final iteration. The per-check stop fraction of a halving rung is
+        1 - 1/eta. Other modes have no interval schedule.
+        """
+        if not self.config.stratum_mode or self.config.constraint_interval_fixed:
             return None
-        if self.config.constraint_interval_fixed:
-            self._final_only[trial_id] = False
-            return None
-        # Map the endpoint rule onto the two schedules this scheduler has:
-        # evaluate at every rung, or once at the final iteration. The
-        # per-check stop fraction of a halving rung is 1 - 1/eta.
         ratio = self.history.ledger.cost_ratio()
         if ratio is None:
             final_only = True
@@ -320,8 +322,7 @@ class AshaScheduler(TrialScheduler):
                 choose_interval(ratio, stop_fraction, max_iterations) == max_iterations
             )
         self._final_only[trial_id] = final_only
-        self.interval_choices[trial_id] = max_iterations if final_only else 1
-        return None
+        return max_iterations if final_only else 1
 
     def wants_constraint(
         self, trial_id: int, iteration: int, max_iterations: int, opt_metric: float
@@ -378,7 +379,6 @@ class ConstraintCallback(TrialScheduler):
     def __init__(self, inner: TrialScheduler):
         super().__init__(inner.history)
         self.inner = inner
-        self.interval_choices = inner.interval_choices
 
     def on_trial_start(self, trial_id: int, max_iterations: int) -> int | None:
         return self.inner.on_trial_start(trial_id, max_iterations)

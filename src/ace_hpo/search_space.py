@@ -43,7 +43,6 @@ class ParamSpec:
     low: float | None = None
     high: float | None = None
     choices: tuple[Any, ...] = ()
-    initial: Any = None
     iteration_axis: bool = False
 
     def __post_init__(self) -> None:
@@ -91,6 +90,12 @@ class SearchSpace:
     @property
     def iteration_axis(self) -> ParamSpec:
         return next(p for p in self.params if p.iteration_axis)
+
+    @property
+    def max_iterations(self) -> int:
+        """The largest iteration budget a candidate can draw."""
+        axis = self.iteration_axis
+        return int(max(axis.choices) if axis.kind is ParamKind.CHOICE else axis.high)
 
     def spec(self, name: str) -> ParamSpec:
         for p in self.params:

@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .history import ConstraintSpec, CostLedger, Group, RunningHistory
+from .history import ConstraintSpec, CostLedger, RunningHistory
 from .schedulers import Action, ScanResult, TrialScheduler, post_hoc_feasibility_scan
 from .search_space import (
     Configuration,
@@ -46,8 +46,6 @@ __all__ = [
     "SyntheticProblem",
     "make_problem",
     "PRESET_NAMES",
-    "TraceRow",
-    "DecisionRow",
     "TrialRow",
     "RunResult",
     "run_experiment",
@@ -123,24 +121,22 @@ def metric_noise(problem_seed: int, trial_id: int, iteration: int, tag: int) -> 
 class CostMeter:
     """Simulated clock advanced only by ledger charges, so time equals total cost.
 
-    The clock is recomputed from the ledger's two kind-sums on every charge,
-    making clock == total primary cost + total constraint cost an exact
-    identity rather than a float-summation-order coincidence.
+    The clock reads the ledger's two kind-sums, making clock == total
+    primary cost + total constraint cost an exact identity rather than a
+    float-summation-order coincidence.
     """
 
     ledger: CostLedger
-    clock: float = 0.0
 
-    def __post_init__(self) -> None:
-        self.clock = self.ledger.total_primary_cost + self.ledger.total_constraint_cost
+    @property
+    def clock(self) -> float:
+        return self.ledger.total_cost
 
     def charge_primary(self, cost: float) -> None:
         self.ledger.add_primary(cost)
-        self.clock = self.ledger.total_primary_cost + self.ledger.total_constraint_cost
 
     def charge_constraint(self, cost: float) -> None:
         self.ledger.add_constraint(cost)
-        self.clock = self.ledger.total_primary_cost + self.ledger.total_constraint_cost
 
 
 def eval_opt_metric(
@@ -431,29 +427,6 @@ def make_problem(
 
 
 @dataclass(frozen=True)
-class TraceRow:
-    trial_id: int
-    iteration: int
-    opt_metric: float
-    constraint_value: float | None
-    group: str
-    violation_amount: float | None
-    sim_time: float
-
-
-@dataclass(frozen=True)
-class DecisionRow:
-    sim_time: float
-    trial_id: int
-    iteration: int
-    action: str
-    evaluate_constraint: bool
-    group: str
-    rank: int | None
-    group_size: int | None
-
-
-@dataclass(frozen=True)
 class TrialRow:
     trial_id: int
     max_iterations: int
@@ -470,34 +443,85 @@ STATUS_BUDGET_TRUNCATED = "budget_truncated"
 
 @dataclass
 class RunResult:
-    """Everything one run produced; file emission happens in the CLI layer."""
+    """Everything one run produced; file emission happens in the CLI layer.
 
-    problem_name: str
-    sampler_seed: int
+    Per-checkpoint data lives only in ``history.records``, one entry per
+    training-loop checkpoint followed by one per post-hoc scan evaluation.
+    The counts, cost totals and best-score fields are derived from the
+    trial rows, the ledger and the incumbent.
+    """
+
+    problem: SyntheticProblem
     budget: float
-    max_concurrent: int
-    trace_rows: list[TraceRow]
-    decision_rows: list[DecisionRow]
     trial_rows: list[TrialRow]
-    total_trials: int
-    completed_trials: int
-    stopped_trials: int
-    truncated_trials: int
-    feasible_found: bool
-    best_feasible_internal: float | None
-    best_feasible_score: float | None
     best_feasible_trial: int | None
     time_to_best: float | None
-    total_cost: float
-    primary_cost_total: float
-    constraint_cost_total: float
-    primary_iterations: int
-    constraint_evaluations: int
-    interval_every_iteration: int
-    interval_final_only: int
-    interval_unscheduled: int
     scan: ScanResult | None
     history: RunningHistory
+
+    def _count(self, predicate: Callable[[TrialRow], bool]) -> int:
+        return sum(1 for r in self.trial_rows if predicate(r))
+
+    @property
+    def total_trials(self) -> int:
+        return len(self.trial_rows)
+
+    @property
+    def completed_trials(self) -> int:
+        return self._count(lambda r: r.status == STATUS_COMPLETED)
+
+    @property
+    def stopped_trials(self) -> int:
+        return self._count(lambda r: r.status == STATUS_STOPPED)
+
+    @property
+    def truncated_trials(self) -> int:
+        return self._count(lambda r: r.status == STATUS_BUDGET_TRUNCATED)
+
+    @property
+    def interval_every_iteration(self) -> int:
+        return self._count(lambda r: r.interval == 1 and r.max_iterations > 1)
+
+    @property
+    def interval_final_only(self) -> int:
+        return self._count(lambda r: r.interval is not None and r.interval == r.max_iterations)
+
+    @property
+    def interval_unscheduled(self) -> int:
+        return self._count(lambda r: r.interval is None)
+
+    @property
+    def feasible_found(self) -> bool:
+        return math.isfinite(self.history.best_feasible_score)
+
+    @property
+    def best_feasible_internal(self) -> float | None:
+        return self.history.best_feasible_score if self.feasible_found else None
+
+    @property
+    def best_feasible_score(self) -> float | None:
+        internal = self.best_feasible_internal
+        return None if internal is None else self.problem.reported(internal)
+
+    @property
+    def total_cost(self) -> float:
+        return self.history.ledger.total_cost
+
+    @property
+    def primary_cost_total(self) -> float:
+        return self.history.ledger.total_primary_cost
+
+    @property
+    def constraint_cost_total(self) -> float:
+        return self.history.ledger.total_constraint_cost
+
+    @property
+    def primary_iterations(self) -> int:
+        return self.history.ledger.primary_cost_count
+
+    @property
+    def constraint_evaluations(self) -> int:
+        return self.history.ledger.constraint_cost_count
 
 
 @dataclass
@@ -542,8 +566,6 @@ def run_experiment(
     scheduler = scheduler_factory(history)
     meter = CostMeter(history.ledger)
 
-    trace_rows: list[TraceRow] = []
-    decision_rows: list[DecisionRow] = []
     trial_rows: list[TrialRow] = []
     curves: dict[int, TrialCurve] = {}
     next_trial_index = 0
@@ -557,10 +579,8 @@ def run_experiment(
         config = sample(problem.space, seed, trial_id)
         curve = problem.curve_for(config)
         curves[trial_id] = curve
-        trial = _ActiveTrial(trial_id, config, curve, None)
-        returned = scheduler.on_trial_start(trial_id, config.max_iterations)
-        trial.interval = returned if returned is not None else scheduler.interval_choices.get(trial_id)
-        return trial
+        interval = scheduler.on_trial_start(trial_id, config.max_iterations)
+        return _ActiveTrial(trial_id, config, curve, interval)
 
     def finish_trial(trial: _ActiveTrial, status: str) -> None:
         trial_rows.append(
@@ -600,12 +620,9 @@ def run_experiment(
             trial.best_opt = opt
             trial.best_iteration = t
 
-        observed: list[float] = []
-
-        def evaluate(trial=trial, t=t, curve=curve, slot=slot, observed=observed) -> float:
+        def evaluate(trial=trial, t=t, curve=curve, slot=slot) -> float:
             value = eval_constraint_metric(curve, t, problem.problem_seed, trial.trial_id, meter)
             slot.virtual_time += curve.constraint_cost
-            observed.append(value)
             return value
 
         incumbent_before = history.best_feasible_score
@@ -613,26 +630,6 @@ def run_experiment(
         if history.best_feasible_score < incumbent_before:
             best_trial = trial.trial_id
             time_to_best = meter.clock
-
-        value = observed[0] if observed else None
-        violation = None
-        if value is not None and not problem.constraint.is_satisfied(value):
-            violation = problem.constraint.violation(value)
-        trace_rows.append(
-            TraceRow(trial.trial_id, t, opt, value, decision.group.value, violation, meter.clock)
-        )
-        decision_rows.append(
-            DecisionRow(
-                meter.clock,
-                trial.trial_id,
-                t,
-                decision.action.value,
-                decision.evaluate_constraint,
-                decision.group.value,
-                decision.rank,
-                decision.group_size,
-            )
-        )
 
         if t >= curve.max_iterations:
             finish_trial(trial, STATUS_COMPLETED)
@@ -650,27 +647,9 @@ def run_experiment(
             (r.trial_id, r.best_iteration, r.best_opt) for r in ranked if r.best_iteration >= 1
         ]
 
-        best_opt_by_trial = {r.trial_id: r.best_opt for r in trial_rows}
-
         def scan_eval(trial_id: int, iteration: int) -> tuple[float, float]:
             curve = curves[trial_id]
             value = eval_constraint_metric(curve, iteration, problem.problem_seed, trial_id, meter)
-            # Scan evaluations belong in the trace too, so every charged
-            # constraint evaluation is auditable from the flat files.
-            satisfied = problem.constraint.is_satisfied(value)
-            violation = None if satisfied else problem.constraint.violation(value)
-            group = Group.VALID if satisfied else Group.INVALID
-            trace_rows.append(
-                TraceRow(
-                    trial_id,
-                    iteration,
-                    best_opt_by_trial[trial_id],
-                    value,
-                    group.value,
-                    violation,
-                    meter.clock,
-                )
-            )
             return value, curve.constraint_cost
 
         incumbent_before = history.best_feasible_score
@@ -679,38 +658,5 @@ def run_experiment(
             best_trial = scan.feasible_trial_id
             time_to_best = meter.clock
 
-    feasible_found = math.isfinite(history.best_feasible_score)
-    best_internal = history.best_feasible_score if feasible_found else None
     trial_rows.sort(key=lambda r: r.trial_id)
-    return RunResult(
-        problem_name=problem.name,
-        sampler_seed=seed,
-        budget=budget,
-        max_concurrent=max_concurrent,
-        trace_rows=trace_rows,
-        decision_rows=decision_rows,
-        trial_rows=trial_rows,
-        total_trials=next_trial_index,
-        completed_trials=sum(1 for r in trial_rows if r.status == STATUS_COMPLETED),
-        stopped_trials=sum(1 for r in trial_rows if r.status == STATUS_STOPPED),
-        truncated_trials=sum(1 for r in trial_rows if r.status == STATUS_BUDGET_TRUNCATED),
-        feasible_found=feasible_found,
-        best_feasible_internal=best_internal,
-        best_feasible_score=problem.reported(best_internal) if feasible_found else None,
-        best_feasible_trial=best_trial,
-        time_to_best=time_to_best,
-        total_cost=meter.clock,
-        primary_cost_total=history.ledger.total_primary_cost,
-        constraint_cost_total=history.ledger.total_constraint_cost,
-        primary_iterations=history.ledger.primary_cost_count,
-        constraint_evaluations=history.ledger.constraint_cost_count,
-        interval_every_iteration=sum(
-            1 for r in trial_rows if r.interval == 1 and r.max_iterations > 1
-        ),
-        interval_final_only=sum(
-            1 for r in trial_rows if r.interval is not None and r.interval == r.max_iterations
-        ),
-        interval_unscheduled=sum(1 for r in trial_rows if r.interval is None),
-        scan=scan,
-        history=history,
-    )
+    return RunResult(problem, budget, trial_rows, best_trial, time_to_best, scan, history)

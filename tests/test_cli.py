@@ -1,12 +1,17 @@
 """End-to-end tests for the command-line interface."""
 
 import csv
+import hashlib
 import json
 import statistics
+from pathlib import Path
 
 import pytest
 
-from ace_hpo.cli import ConfigError, load_config, main
+from ace_hpo.cli import ConfigError, _build_space, _scheduler_factory, load_config, main
+from ace_hpo.history import ConstraintSpec, RunningHistory
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def write_config(path, **overrides):
@@ -253,6 +258,64 @@ class TestRunCommand:
         assert sorted({r["arm"] for r in rows}) == [
             "ace_hard", "asha", "asha_cb", "asha_stratum",
         ]
+
+    def test_asha_on_choice_axis_defaults_to_largest_choice(self, tmp_path):
+        space = {
+            "params": [
+                {"name": "learning_rate", "kind": "log_uniform_real",
+                 "low": 1e-4, "high": 1e-1},
+                {"name": "regularization", "kind": "log_uniform_real",
+                 "low": 1e-5, "high": 1e-1},
+                {"name": "hidden_width", "kind": "choice",
+                 "choices": [32, 64, 128, 256]},
+                {"name": "training_iterations", "kind": "choice",
+                 "choices": [16, 64, 32], "iteration_axis": True},
+            ]
+        }
+        config_path = tmp_path / "config.json"
+        write_config(
+            config_path,
+            seeds=[0],
+            budget=400.0,
+            output_dir=str(tmp_path / "out"),
+            space=space,
+            arms=[
+                {"name": "asha", "scheduler": "asha"},
+                {"name": "asha_cb", "scheduler": "asha_callback"},
+            ],
+        )
+        assert main(["run", str(config_path)]) == 0
+        for arm in ("asha", "asha_cb"):
+            decisions = read_csv(tmp_path / "out" / f"{arm}_seed0_decisions.csv")
+            assert {d["iteration"] for d in decisions if d["rank"]} <= {"1", "4", "16", "64"}
+        factory = _scheduler_factory("asha", {}, _build_space(space))
+        assert factory(RunningHistory(ConstraintSpec(0.0))).config.max_time_units == 64
+
+
+class TestOutputContract:
+    """The shipped configs' output files are byte-identical to the reference.
+
+    Together these runs cover every scheduler kind the configs use, both
+    presets and the post-hoc feasibility scan.
+    """
+
+    @pytest.mark.parametrize(
+        "workload, config, seeds",
+        [
+            ("ordering", "configs/ordering_experiment.json", [0]),
+            ("gate-ablation", "configs/gate_ablation.json", [0, 1, 2]),
+        ],
+    )
+    def test_outputs_match_reference_digests(self, tmp_path, workload, config, seeds):
+        reference_path = REPO / "bench" / "reference" / "digests.json"
+        reference = json.loads(reference_path.read_text(encoding="utf-8"))
+        expected = reference[workload][",".join(str(s) for s in seeds)]
+        seed_args = [arg for s in seeds for arg in ("--seed", str(s))]
+        assert main(["run", str(REPO / config), "--output-dir", str(tmp_path), *seed_args]) == 0
+        digests = {
+            p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()
+        }
+        assert digests == expected
 
 
 class TestCostCurveCommand:

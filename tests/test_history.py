@@ -61,20 +61,6 @@ def test_best_feasible_updates_only_on_valid_improvement():
     assert history.best_feasible_score == 0.4
 
 
-def test_group_subset_partition_and_latest():
-    history = RunningHistory(TAU)
-    history.record_checkpoint(TAU.classify(1, 1, 0.9, 0.5))
-    history.record_checkpoint(TAU.classify(1, 2, 0.8, 0.4))
-    history.record_checkpoint(TAU.classify(2, 1, 0.7, None))
-    history.record_checkpoint(TAU.classify(3, 1, 0.6, 0.1))
-    invalid = history.group_subset(Group.INVALID)
-    assert [r.iteration for r in invalid] == [1, 2]
-    latest = history.group_subset(Group.INVALID, latest_per_trial=True)
-    assert len(latest) == 1 and latest[0].iteration == 2
-    sizes = sum(len(history.group_subset(g)) for g in Group)
-    assert sizes == len(history.records)
-
-
 def test_snapshots_track_current_group_best_opt_latest_violation():
     history = RunningHistory(TAU)
     history.record_checkpoint(TAU.classify(1, 1, 0.9, 0.45))
@@ -109,7 +95,7 @@ def test_best_feasible_is_monotone_nonincreasing(stream):
         history.record_checkpoint(TAU.classify(1 + i % 5, 1 + i // 5, opt, value))
         assert history.best_feasible_score <= previous
         previous = history.best_feasible_score
-    valid_opts = [r.opt_metric for r in history.group_subset(Group.VALID)]
+    valid_opts = [opt for opt, value in stream if value is not None and value <= TAU.threshold]
     if valid_opts:
         assert history.best_feasible_score == min(valid_opts)
     else:

@@ -310,8 +310,6 @@ class TestAsha:
             AshaConfig(max_time_units=16, reduction_factor=1)
         with pytest.raises(ValueError):
             AshaConfig(max_time_units=0)
-        with pytest.raises(ValueError):
-            AshaConfig(max_time_units=16, brackets=2)
 
 
 class TestBaselines:

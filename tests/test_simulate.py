@@ -198,8 +198,7 @@ class TestRunExperiment:
             )
 
         a, b = once(), once()
-        assert a.trace_rows == b.trace_rows
-        assert a.decision_rows == b.decision_rows
+        assert a.history.records == b.history.records
         assert a.trial_rows == b.trial_rows
         assert a.best_feasible_score == b.best_feasible_score
         assert a.time_to_best == b.time_to_best
@@ -305,9 +304,12 @@ class TestRunExperiment:
         )
         assert result.total_trials > 0
         assert result.scan is not None
-        ranked_rows = [d for d in result.decision_rows if d.rank is not None]
-        assert ranked_rows
-        assert all(d.iteration in (1, 4, 16, 64) for d in ranked_rows)
+        ranked = [
+            e.record for e in result.history.records
+            if e.decision is not None and e.decision.rank is not None
+        ]
+        assert ranked
+        assert all(r.iteration in (1, 4, 16, 64) for r in ranked)
 
     def test_invalid_arguments(self):
         problem = fixed_length_problem()
