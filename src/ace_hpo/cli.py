@@ -315,22 +315,22 @@ SUMMARY_HEADER = ("arm", "seed", *SUMMARY_FIELDS)
 
 
 def _write_run_files(out_dir: Path, arm: str, seed: int, result: RunResult) -> None:
-    """Trace rows for every checkpoint entry, decision rows for loop checkpoints."""
+    """Trace rows per checkpoint entry, decision rows per loop checkpoint, trial rows."""
     prefix = f"{arm}_seed{seed}"
     trace_rows, decision_rows = [], []
     for entry in result.history.records:
-        r, d = entry.record, entry.decision
+        r = entry.record
         trace_rows.append(
             (
                 r.trial_id, r.iteration, r.opt_metric, r.constraint_value,
                 r.group.value, r.violation_amount, entry.sim_time,
             )
         )
-        if d is not None:
+        if entry.action is not None:
             decision_rows.append(
                 (
-                    entry.sim_time, r.trial_id, r.iteration, d.action.value,
-                    d.evaluate_constraint, d.group.value, d.rank, d.group_size,
+                    entry.sim_time, r.trial_id, r.iteration, entry.action.value,
+                    entry.evaluate_constraint, r.group.value, entry.rank, entry.group_size,
                 )
             )
     _write_csv(out_dir / f"{prefix}_trace.csv", TRACE_HEADER, trace_rows)

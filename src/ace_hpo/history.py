@@ -1,14 +1,16 @@
-"""Running tuning history: checkpoint records, feasibility state, cost ledger.
+"""Running tuning history: checkpoint entries, trial rows, incumbent, cost ledger.
 
 Every checkpoint of every trial lands here exactly once, as one entry of
 ``RunningHistory.records``: an immutable record tagged with its constraint
 group (``no_constraint`` when the constraint was not evaluated, else
 ``valid`` or ``invalid`` against an upper-bound threshold), the ledger's
 total cost when it landed, and, for checkpoints of the training loop, the
-scheduler's decision. The trace and decision files are projections of that
-one list. The history also tracks the best feasible optimization metric
-seen so far (metrics are minimized internally) and a ledger of charged
-costs from which the empirical constraint-to-training cost ratio is
+scheduler's action and rank. Every trial owns one row of
+``RunningHistory.trials``, kept current as its records land. The trace,
+decision and trial files are projections of these two lists. The history
+also tracks the best feasible optimization metric seen so far and the cost
+clock when it was set (metrics are minimized internally), and a ledger of
+charged costs from which the empirical constraint-to-training cost ratio is
 estimated.
 """
 
@@ -20,7 +22,7 @@ from enum import Enum
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
-    from .schedulers import SchedulerDecision
+    from .schedulers import Action
 
 __all__ = [
     "Group",
@@ -105,13 +107,25 @@ class CheckpointRecord:
 class CheckpointEntry:
     """One checkpoint of a run.
 
-    Holds the record, the cost clock when it landed, and the scheduler
-    decision it produced (None for post-hoc scan evaluations).
+    Holds the record, the cost clock when it landed, and the scheduler's
+    action with the trial's rank-from-worst and group size behind it
+    (``action`` is None for post-hoc scan evaluations; rank fields are None
+    when the rule ranked nothing).
     """
 
     record: CheckpointRecord
     sim_time: float
-    decision: SchedulerDecision | None = None
+    action: Action | None = None
+    rank: int | None = None
+    group_size: int | None = None
+
+    @property
+    def group(self) -> Group:
+        return self.record.group
+
+    @property
+    def evaluate_constraint(self) -> bool:
+        return self.record.constraint_value is not None
 
 
 @dataclass
@@ -154,20 +168,27 @@ class CostLedger:
         return mean_constraint / mean_primary
 
 
-@dataclass
+@dataclass(slots=True)
 class TrialSnapshot:
-    """Per-trial ranking entry: one row per trial, kept current as records land.
+    """The one row of a trial, kept current as its records land.
 
-    A trial sits in the group of its most recent checkpoint; it ranks by its
-    best-so-far optimization metric and, when invalid, by the violation from
-    its latest constraint evaluation.
+    ``max_iterations`` and ``interval`` are fixed at start (None for a trial
+    recorded without being started; ``interval`` None means no evaluation
+    schedule). A trial sits in the group of its most recent checkpoint (None
+    before its first); it ranks by its best-so-far optimization metric and,
+    when invalid, by the violation from its latest constraint evaluation.
+    ``best_iteration`` is the first iteration reaching ``best_opt`` (0 while
+    no checkpoint has beaten +inf). ``status`` is set when the trial ends.
     """
 
     trial_id: int
-    group: Group
-    best_opt: float
-    latest_violation: float | None
-    latest_iteration: int
+    max_iterations: int | None = None
+    interval: int | None = None
+    group: Group | None = None
+    best_opt: float = math.inf
+    best_iteration: int = 0
+    latest_violation: float | None = None
+    status: str | None = None
 
 
 class RunningHistory:
@@ -177,10 +198,25 @@ class RunningHistory:
         self.constraint = constraint
         self.records: list[CheckpointEntry] = []
         self.best_feasible_score: float = math.inf
+        self.best_feasible_time: float | None = None
         self.ledger = CostLedger()
-        self._snapshots: dict[int, TrialSnapshot] = {}
+        self._trials: dict[int, TrialSnapshot] = {}
+
+    @property
+    def trials(self) -> list[TrialSnapshot]:
+        """Every trial row, in the order the trials were first seen."""
+        return list(self._trials.values())
+
+    def start_trial(self, trial_id: int, max_iterations: int, interval: int | None) -> None:
+        """Create the trial's row with the facts fixed for its lifetime."""
+        self._trials[trial_id] = TrialSnapshot(trial_id, max_iterations, interval)
 
     def record_checkpoint(self, record: CheckpointRecord) -> CheckpointEntry:
+        """Append the record's entry; update the incumbent and the trial's row.
+
+        A record of a trial never started gets a fresh row. Only a strictly
+        lower metric moves a best, so ties keep the earlier one and NaN never wins.
+        """
         if record.group is Group.VALID and not self.constraint.is_satisfied(record.constraint_value):
             raise ValueError("valid record with constraint value above the threshold")
         if record.group is Group.INVALID:
@@ -193,26 +229,21 @@ class RunningHistory:
         self.records.append(entry)
         if record.group is Group.VALID and record.opt_metric < self.best_feasible_score:
             self.best_feasible_score = record.opt_metric
-        snap = self._snapshots.get(record.trial_id)
-        if snap is None:
-            self._snapshots[record.trial_id] = TrialSnapshot(
-                record.trial_id,
-                record.group,
-                record.opt_metric,
-                record.violation_amount,
-                record.iteration,
-            )
-        else:
-            snap.group = record.group
-            snap.best_opt = min(snap.best_opt, record.opt_metric)
-            if record.group is Group.INVALID:
-                snap.latest_violation = record.violation_amount
-            snap.latest_iteration = record.iteration
+            self.best_feasible_time = entry.sim_time
+        row = self._trials.get(record.trial_id)
+        if row is None:
+            row = self._trials[record.trial_id] = TrialSnapshot(record.trial_id)
+        row.group = record.group
+        if record.opt_metric < row.best_opt:
+            row.best_opt = record.opt_metric
+            row.best_iteration = record.iteration
+        if record.group is Group.INVALID:
+            row.latest_violation = record.violation_amount
         return entry
 
     def group_members(self, group: Group) -> list[TrialSnapshot]:
         """Trials whose most recent checkpoint sits in the given group."""
-        return [s for s in self._snapshots.values() if s.group is group]
+        return [s for s in self._trials.values() if s.group is group]
 
     def trial_snapshot(self, trial_id: int) -> TrialSnapshot | None:
-        return self._snapshots.get(trial_id)
+        return self._trials.get(trial_id)

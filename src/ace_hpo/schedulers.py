@@ -18,10 +18,12 @@ feasibility at each trial's final iteration, and a post-hoc feasibility
 scan for fully constraint-agnostic runs.
 
 Every scheduler records one checkpoint per training iteration into a shared
-:class:`~ace_hpo.history.RunningHistory` and attaches its decision to that
-checkpoint's entry; the simulator performs the actual metered metric
-evaluations and charges their costs. A trial's constraint-evaluation
-interval is whatever ``on_trial_start`` returns (None: no schedule).
+:class:`~ace_hpo.history.RunningHistory` and writes its action and rank onto
+that checkpoint's entry; the simulator performs the actual metered metric
+evaluations and charges their costs. ``on_trial_start`` creates the trial's
+row in the history with the constraint-evaluation interval from the
+scheduler's ``interval_for`` hook (None: no schedule); the schedulers read
+the interval back from that row.
 """
 
 from __future__ import annotations
@@ -32,11 +34,10 @@ from enum import Enum
 from typing import Callable
 
 from .cost_model import choose_interval
-from .history import CheckpointRecord, ConstraintSpec, Group, RunningHistory
+from .history import CheckpointEntry, CheckpointRecord, ConstraintSpec, Group, RunningHistory
 
 __all__ = [
     "Action",
-    "SchedulerDecision",
     "StoppingMode",
     "IntervalMode",
     "AceConfig",
@@ -70,17 +71,6 @@ class IntervalMode(str, Enum):
 
 
 @dataclass(frozen=True)
-class SchedulerDecision:
-    """Outcome of one checkpoint step; rank fields feed the decision trace."""
-
-    action: Action
-    evaluate_constraint: bool
-    group: Group | None = None
-    rank: int | None = None
-    group_size: int | None = None
-
-
-@dataclass(frozen=True)
 class AceConfig:
     truncation_percentage: float = 0.25
     low_overhead_gate: bool = True
@@ -90,6 +80,12 @@ class AceConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.truncation_percentage < 1.0:
             raise ValueError("truncation_percentage must be in (0, 1)")
+
+
+def _bootstrap(history: RunningHistory, at_final_iteration: bool) -> bool:
+    """Evaluate at a final iteration while the ledger has no constraint sample,
+    so the empirical cost ratio can be estimated at all."""
+    return at_final_iteration and history.ledger.constraint_cost_count == 0
 
 
 def ace_gate(
@@ -104,45 +100,54 @@ def ace_gate(
     True at interval boundaries, unless the gate is on and the current
     optimization metric is worse than the best feasible score so far (such
     a checkpoint cannot improve the incumbent, so certifying it is wasted
-    cost). As a bootstrap, a trial's final iteration always evaluates while
-    the ledger holds no constraint-cost sample yet, so the empirical cost
-    ratio can be estimated at all.
+    cost). A bootstrap evaluation (see :func:`_bootstrap`) always happens.
     """
-    if at_final_iteration and history.ledger.constraint_cost_count == 0:
+    if _bootstrap(history, at_final_iteration):
         return True
     if not at_interval_boundary:
         return False
     return not gate_enabled or opt_metric <= history.best_feasible_score
 
 
-def _stratum_rank(history: RunningHistory, trial_id: int, group: Group) -> tuple[int, int]:
-    """Rank-from-worst of a trial inside its group and the group size.
+def _stratum_key(group: Group, violation: float | None, opt: float, trial_id: int) -> tuple:
+    """Ascending ranking key inside a constraint group, best first.
 
-    Invalid trials order ascending by (latest violation, best optimization
-    metric); the other groups by best optimization metric alone. Ties break
-    by trial id. Rank 1 is the worst member.
+    Invalid trials order by (violation, optimization metric); the other
+    groups by optimization metric alone. Ties break by trial id.
+    """
+    if group is Group.INVALID:
+        return (violation, opt, trial_id)
+    return (opt, trial_id)
+
+
+def _stratum_decision(
+    config: AceConfig, history: RunningHistory, trial_id: int, group: Group
+) -> tuple[Action, int, int]:
+    """Stop the trial iff it sits in the bottom floor(P * n) of its n-trial group.
+
+    Members rank by :func:`_stratum_key` on best-so-far metric (never NaN)
+    and latest violation. Returns the action, the trial's rank-from-worst (1
+    is the worst member; keys are distinct, so a count suffices) and n.
     """
     snap = history.trial_snapshot(trial_id)
     if snap is None or snap.group is not group:
         raise ValueError("trial has no current record in the queried group")
+    own = _stratum_key(group, snap.latest_violation, snap.best_opt, trial_id)
     members = history.group_members(group)
-    if group is Group.INVALID:
-        keys = sorted((m.latest_violation, m.best_opt, m.trial_id) for m in members)
-        position = keys.index((snap.latest_violation, snap.best_opt, snap.trial_id))
-    else:
-        keys = sorted((m.best_opt, m.trial_id) for m in members)
-        position = keys.index((snap.best_opt, snap.trial_id))
-    return len(keys) - position, len(keys)
+    size = len(members)
+    rank = size - sum(
+        1 for m in members if _stratum_key(group, m.latest_violation, m.best_opt, m.trial_id) < own
+    )
+    if rank <= math.floor(config.truncation_percentage * size):
+        return Action.STOP, rank, size
+    return Action.CONTINUE, rank, size
 
 
 def stratum_should_stop(
     config: AceConfig, history: RunningHistory, trial_id: int, group: Group
 ) -> Action:
-    """Stop the trial iff it sits in the bottom floor(P * n) of its n-trial group."""
-    rank_from_worst, size = _stratum_rank(history, trial_id, group)
-    if rank_from_worst <= math.floor(config.truncation_percentage * size):
-        return Action.STOP
-    return Action.CONTINUE
+    """The action of the stratum rule alone (see :func:`_stratum_decision`)."""
+    return _stratum_decision(config, history, trial_id, group)[0]
 
 
 class TrialScheduler:
@@ -158,7 +163,13 @@ class TrialScheduler:
         return self.history.constraint
 
     def on_trial_start(self, trial_id: int, max_iterations: int) -> int | None:
-        """Start a trial; return its constraint-evaluation interval, if any."""
+        """Create the trial's history row; return its evaluation interval, if any."""
+        interval = self.interval_for(max_iterations)
+        self.history.start_trial(trial_id, max_iterations, interval)
+        return interval
+
+    def interval_for(self, max_iterations: int) -> int | None:
+        """Constraint-evaluation interval of a trial starting now (None: no schedule)."""
         return None
 
     def wants_constraint(
@@ -178,23 +189,24 @@ class TrialScheduler:
         max_iterations: int,
         opt_metric: float,
         evaluate: Callable[[], float],
-    ) -> SchedulerDecision:
+    ) -> CheckpointEntry:
         """One checkpoint: maybe evaluate the constraint, record, then rule.
 
         ``evaluate`` performs (and charges) the constraint evaluation at the
         current iteration; it is called at most once. A trial reaching its
         final iteration completes regardless of the stopping rule. The
-        decision is attached to the checkpoint's history entry.
+        action and rank are written onto the checkpoint's history entry,
+        which is returned.
         """
         want = self.wants_constraint(trial_id, iteration, max_iterations, opt_metric)
         value = evaluate() if want else None
         record = self.constraint.classify(trial_id, iteration, opt_metric, value)
         entry = self.history.record_checkpoint(record)
-        action, rank, size = self.decide(trial_id, iteration, max_iterations, record)
-        if iteration >= max_iterations:
-            action = Action.CONTINUE
-        entry.decision = SchedulerDecision(action, want, record.group, rank, size)
-        return entry.decision
+        action, entry.rank, entry.group_size = self.decide(
+            trial_id, iteration, max_iterations, record
+        )
+        entry.action = Action.CONTINUE if iteration >= max_iterations else action
+        return entry
 
 
 class AceScheduler(TrialScheduler):
@@ -205,10 +217,9 @@ class AceScheduler(TrialScheduler):
     def __init__(self, config: AceConfig, history: RunningHistory):
         super().__init__(history)
         self.config = config
-        self.interval_choices: dict[int, int] = {}
 
-    def on_trial_start(self, trial_id: int, max_iterations: int) -> int:
-        """Fix the trial's constraint-evaluation interval for its lifetime.
+    def interval_for(self, max_iterations: int) -> int:
+        """Fix a starting trial's constraint-evaluation interval for its lifetime.
 
         Adaptive mode applies the endpoint rule to the ledger's empirical
         cost ratio with the truncation percentage standing in for the
@@ -217,28 +228,19 @@ class AceScheduler(TrialScheduler):
         """
         mode = self.config.interval_mode
         if mode is IntervalMode.FIXED_1:
-            interval = 1
-        elif mode is IntervalMode.FIXED_T:
-            interval = max_iterations
-        else:
-            ratio = self.history.ledger.cost_ratio()
-            if ratio is None:
-                interval = max_iterations
-            else:
-                interval = choose_interval(
-                    ratio, self.config.truncation_percentage, max_iterations
-                )
-        self.interval_choices[trial_id] = interval
-        return interval
+            return 1
+        ratio = self.history.ledger.cost_ratio()
+        if mode is IntervalMode.FIXED_T or ratio is None:
+            return max_iterations
+        return choose_interval(ratio, self.config.truncation_percentage, max_iterations)
 
     def wants_constraint(
         self, trial_id: int, iteration: int, max_iterations: int, opt_metric: float
     ) -> bool:
-        interval = self.interval_choices[trial_id]
         return ace_gate(
             opt_metric,
             self.history,
-            at_interval_boundary=iteration % interval == 0,
+            at_interval_boundary=iteration % self.history.trial_snapshot(trial_id).interval == 0,
             gate_enabled=self.config.low_overhead_gate,
             at_final_iteration=iteration >= max_iterations,
         )
@@ -249,10 +251,7 @@ class AceScheduler(TrialScheduler):
         if self.config.stopping_mode is StoppingMode.HARD:
             action = Action.STOP if record.group is Group.INVALID else Action.CONTINUE
             return action, None, None
-        rank, size = _stratum_rank(self.history, trial_id, record.group)
-        threshold = math.floor(self.config.truncation_percentage * size)
-        action = Action.STOP if rank <= threshold else Action.CONTINUE
-        return action, rank, size
+        return _stratum_decision(self.config, self.history, trial_id, record.group)
 
 
 @dataclass(frozen=True)
@@ -297,13 +296,12 @@ class AshaScheduler(TrialScheduler):
         self._rung_set = set(config.rungs)
         self._rung_entries: dict[tuple, list[tuple]] = {}
         self._rung_promotions: dict[tuple, int] = {}
-        self._final_only: dict[int, bool] = {}
 
     @property
     def performs_constraint_evaluations(self) -> bool:  # type: ignore[override]
         return self.config.stratum_mode
 
-    def on_trial_start(self, trial_id: int, max_iterations: int) -> int | None:
+    def interval_for(self, max_iterations: int) -> int | None:
         """In adaptive stratum mode, T for a single final check, else 1.
 
         The endpoint rule maps onto the two schedules this scheduler has:
@@ -315,23 +313,20 @@ class AshaScheduler(TrialScheduler):
             return None
         ratio = self.history.ledger.cost_ratio()
         if ratio is None:
-            final_only = True
-        else:
-            stop_fraction = 1.0 - 1.0 / self.config.reduction_factor
-            final_only = (
-                choose_interval(ratio, stop_fraction, max_iterations) == max_iterations
-            )
-        self._final_only[trial_id] = final_only
-        return max_iterations if final_only else 1
+            return max_iterations
+        stop_fraction = 1.0 - 1.0 / self.config.reduction_factor
+        if choose_interval(ratio, stop_fraction, max_iterations) == max_iterations:
+            return max_iterations
+        return 1
 
     def wants_constraint(
         self, trial_id: int, iteration: int, max_iterations: int, opt_metric: float
     ) -> bool:
         if not self.config.stratum_mode:
             return False
-        if iteration >= max_iterations and self.history.ledger.constraint_cost_count == 0:
+        if _bootstrap(self.history, iteration >= max_iterations):
             return True
-        if self._final_only.get(trial_id, False):
+        if self.history.trial_snapshot(trial_id).interval == max_iterations:
             return iteration >= max_iterations
         return iteration in self._rung_set
 
@@ -342,10 +337,7 @@ class AshaScheduler(TrialScheduler):
             return Action.CONTINUE, None, None
         if self.config.stratum_mode:
             key: tuple = (iteration, record.group)
-            if record.group is Group.INVALID:
-                entry: tuple = (record.violation_amount, record.opt_metric, trial_id)
-            else:
-                entry = (record.opt_metric, trial_id)
+            entry = _stratum_key(record.group, record.violation_amount, record.opt_metric, trial_id)
         else:
             key = (iteration,)
             entry = (record.opt_metric, trial_id)
@@ -380,8 +372,8 @@ class ConstraintCallback(TrialScheduler):
         super().__init__(inner.history)
         self.inner = inner
 
-    def on_trial_start(self, trial_id: int, max_iterations: int) -> int | None:
-        return self.inner.on_trial_start(trial_id, max_iterations)
+    def interval_for(self, max_iterations: int) -> int | None:
+        return self.inner.interval_for(max_iterations)
 
     def wants_constraint(
         self, trial_id: int, iteration: int, max_iterations: int, opt_metric: float

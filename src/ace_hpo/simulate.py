@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .history import ConstraintSpec, CostLedger, RunningHistory
+from .history import ConstraintSpec, CostLedger, RunningHistory, TrialSnapshot
 from .schedulers import Action, ScanResult, TrialScheduler, post_hoc_feasibility_scan
 from .search_space import (
     Configuration,
@@ -46,7 +46,6 @@ __all__ = [
     "SyntheticProblem",
     "make_problem",
     "PRESET_NAMES",
-    "TrialRow",
     "RunResult",
     "run_experiment",
 ]
@@ -426,16 +425,6 @@ def make_problem(
     return SyntheticProblem(spec, problem_seed)
 
 
-@dataclass(frozen=True)
-class TrialRow:
-    trial_id: int
-    max_iterations: int
-    interval: int | None
-    best_opt: float
-    best_iteration: int
-    status: str
-
-
 STATUS_COMPLETED = "completed"
 STATUS_STOPPED = "stopped"
 STATUS_BUDGET_TRUNCATED = "budget_truncated"
@@ -446,20 +435,25 @@ class RunResult:
     """Everything one run produced; file emission happens in the CLI layer.
 
     Per-checkpoint data lives only in ``history.records``, one entry per
-    training-loop checkpoint followed by one per post-hoc scan evaluation.
-    The counts, cost totals and best-score fields are derived from the
-    trial rows, the ledger and the incumbent.
+    training-loop checkpoint followed by one per post-hoc scan evaluation;
+    per-trial data only in ``history.trials``, in trial-id order. Everything
+    else is derived from those rows, the ledger and the incumbent.
     """
 
     problem: SyntheticProblem
     budget: float
-    trial_rows: list[TrialRow]
-    best_feasible_trial: int | None
-    time_to_best: float | None
     scan: ScanResult | None
     history: RunningHistory
 
-    def _count(self, predicate: Callable[[TrialRow], bool]) -> int:
+    @property
+    def trial_rows(self) -> list[TrialSnapshot]:
+        return self.history.trials
+
+    @property
+    def time_to_best(self) -> float | None:
+        return self.history.best_feasible_time
+
+    def _count(self, predicate: Callable[[TrialSnapshot], bool]) -> int:
         return sum(1 for r in self.trial_rows if predicate(r))
 
     @property
@@ -527,12 +521,8 @@ class RunResult:
 @dataclass
 class _ActiveTrial:
     trial_id: int
-    config: Configuration
     curve: TrialCurve
-    interval: int | None
     iteration: int = 0
-    best_opt: float = math.inf
-    best_iteration: int = 0
 
 
 @dataclass
@@ -566,33 +556,17 @@ def run_experiment(
     scheduler = scheduler_factory(history)
     meter = CostMeter(history.ledger)
 
-    trial_rows: list[TrialRow] = []
     curves: dict[int, TrialCurve] = {}
-    next_trial_index = 0
-    best_trial: int | None = None
-    time_to_best: float | None = None
 
     def start_trial() -> _ActiveTrial:
-        nonlocal next_trial_index
-        trial_id = next_trial_index
-        next_trial_index += 1
+        trial_id = len(curves)
         config = sample(problem.space, seed, trial_id)
-        curve = problem.curve_for(config)
-        curves[trial_id] = curve
-        interval = scheduler.on_trial_start(trial_id, config.max_iterations)
-        return _ActiveTrial(trial_id, config, curve, interval)
+        curve = curves[trial_id] = problem.curve_for(config)
+        scheduler.on_trial_start(trial_id, config.max_iterations)
+        return _ActiveTrial(trial_id, curve)
 
     def finish_trial(trial: _ActiveTrial, status: str) -> None:
-        trial_rows.append(
-            TrialRow(
-                trial.trial_id,
-                trial.curve.max_iterations,
-                trial.interval,
-                trial.best_opt,
-                trial.best_iteration,
-                status,
-            )
-        )
+        history.trial_snapshot(trial.trial_id).status = status
 
     heap: list[tuple[float, int, _Slot]] = []
     seq = 0
@@ -616,25 +590,17 @@ def run_experiment(
 
         opt = eval_opt_metric(curve, t, problem.problem_seed, trial.trial_id, meter)
         slot.virtual_time += curve.primary_cost
-        if opt < trial.best_opt:
-            trial.best_opt = opt
-            trial.best_iteration = t
 
         def evaluate(trial=trial, t=t, curve=curve, slot=slot) -> float:
             value = eval_constraint_metric(curve, t, problem.problem_seed, trial.trial_id, meter)
             slot.virtual_time += curve.constraint_cost
             return value
 
-        incumbent_before = history.best_feasible_score
-        decision = scheduler.step(trial.trial_id, t, curve.max_iterations, opt, evaluate)
-        if history.best_feasible_score < incumbent_before:
-            best_trial = trial.trial_id
-            time_to_best = meter.clock
-
+        entry = scheduler.step(trial.trial_id, t, curve.max_iterations, opt, evaluate)
         if t >= curve.max_iterations:
             finish_trial(trial, STATUS_COMPLETED)
             slot.trial = None
-        elif decision.action is Action.STOP:
+        elif entry.action is Action.STOP:
             finish_trial(trial, STATUS_STOPPED)
             slot.trial = None
         heapq.heappush(heap, (slot.virtual_time, seq, slot))
@@ -642,7 +608,7 @@ def run_experiment(
 
     scan: ScanResult | None = None
     if not scheduler.performs_constraint_evaluations:
-        ranked = sorted(trial_rows, key=lambda r: (r.best_opt, r.trial_id))
+        ranked = sorted(history.trials, key=lambda r: (r.best_opt, r.trial_id))
         candidates = [
             (r.trial_id, r.best_iteration, r.best_opt) for r in ranked if r.best_iteration >= 1
         ]
@@ -652,11 +618,6 @@ def run_experiment(
             value = eval_constraint_metric(curve, iteration, problem.problem_seed, trial_id, meter)
             return value, curve.constraint_cost
 
-        incumbent_before = history.best_feasible_score
         scan = post_hoc_feasibility_scan(history, candidates, scan_eval)
-        if history.best_feasible_score < incumbent_before:
-            best_trial = scan.feasible_trial_id
-            time_to_best = meter.clock
 
-    trial_rows.sort(key=lambda r: r.trial_id)
-    return RunResult(problem, budget, trial_rows, best_trial, time_to_best, scan, history)
+    return RunResult(problem, budget, scan, history)

@@ -3,7 +3,10 @@
 import csv
 import hashlib
 import json
+import os
 import statistics
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -316,6 +319,23 @@ class TestOutputContract:
             p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()
         }
         assert digests == expected
+
+
+def test_traced_benchmark_run_writes_spans(tmp_path):
+    """``bench/tracer.py`` still hooks the package: a traced smoke run succeeds."""
+    spans = tmp_path / "spans.npz"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p
+    )
+    command = [
+        sys.executable, str(REPO / "bench" / "tracer.py"), str(spans),
+        "run", str(REPO / "bench" / "configs" / "smoke.json"),
+        "--output-dir", str(tmp_path / "out"),
+    ]
+    proc = subprocess.run(command, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert spans.exists()
 
 
 class TestCostCurveCommand:

@@ -74,6 +74,42 @@ def test_snapshots_track_current_group_best_opt_latest_violation():
     assert history.group_members(Group.VALID) == []
 
 
+def test_trial_rows_own_start_facts_best_and_incumbent_time():
+    history = RunningHistory(TAU)
+    history.start_trial(4, 16, 2)
+    row = history.trial_snapshot(4)
+    assert (row.max_iterations, row.interval, row.group, row.status) == (16, 2, None, None)
+    assert (row.best_opt, row.best_iteration) == (math.inf, 0)
+    assert history.group_members(Group.NO_CONSTRAINT) == []
+
+    history.ledger.add_primary(1.0)
+    history.record_checkpoint(TAU.classify(4, 1, math.nan, None))
+    history.ledger.add_primary(1.0)
+    history.record_checkpoint(TAU.classify(4, 2, 0.3, None))
+    history.ledger.add_primary(1.0)
+    history.record_checkpoint(TAU.classify(4, 3, 0.3, None))
+    assert (row.best_opt, row.best_iteration) == (0.3, 2)
+    assert row.group is Group.NO_CONSTRAINT
+
+    # A record of a trial that was never started gets a fresh row.
+    history.ledger.add_constraint(2.5)
+    history.record_checkpoint(TAU.classify(9, 5, 0.4, 0.6))
+    unstarted = history.trial_snapshot(9)
+    assert (unstarted.max_iterations, unstarted.interval) == (None, None)
+    assert (unstarted.best_opt, unstarted.best_iteration) == (0.4, 5)
+    assert unstarted.latest_violation == pytest.approx(0.35)
+    assert [r.trial_id for r in history.trials] == [4, 9]
+    assert history.best_feasible_time is None
+
+    history.ledger.add_constraint(2.0)
+    entry = history.record_checkpoint(TAU.classify(4, 4, 0.2, 0.1))
+    history.ledger.add_constraint(2.0)
+    history.record_checkpoint(TAU.classify(9, 6, 0.2, 0.1))
+    assert history.best_feasible_score == 0.2
+    assert history.best_feasible_time == entry.sim_time == 7.5
+    assert (row.best_opt, row.best_iteration) == (0.2, 4)
+
+
 def test_ledger_ratio():
     ledger = CostLedger()
     assert ledger.cost_ratio() is None

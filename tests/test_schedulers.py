@@ -74,7 +74,10 @@ class TestIntervalChoice:
         # threshold(0.25, 8) ~ 1.69 < 3.0 -> final; threshold(0.25, 32) ~ 9.33 > 3.0 -> every iteration
         assert sched.on_trial_start(0, 8) == 8
         assert sched.on_trial_start(1, 32) == 1
-        assert sched.interval_choices == {0: 8, 1: 1}
+        assert [(r.trial_id, r.max_iterations, r.interval) for r in history.trials] == [
+            (0, 8, 8),
+            (1, 32, 1),
+        ]
 
     def test_truncation_percentage_validated(self):
         with pytest.raises(ValueError):
