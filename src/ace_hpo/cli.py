@@ -234,7 +234,8 @@ def _build_space(space_cfg: dict) -> SearchSpace:
     return SearchSpace(tuple(params))
 
 
-def _build_problem(config: dict, problem_seed: int):
+def _build_problems(config: dict, seeds: list[int]) -> dict:
+    """One calibrated problem per seed, shared by every arm (a problem is never mutated)."""
     overrides = dict(config["problem"].get("overrides", {}))
     for key in ("quality_terms", "feasibility_terms"):
         if key in overrides:
@@ -242,9 +243,8 @@ def _build_problem(config: dict, problem_seed: int):
                 LandscapeTerm(t["param"], t["center"], t["weight"]) for t in overrides[key]
             )
     space = _build_space(config["space"]) if "space" in config else None
-    return make_problem(
-        config["problem"]["preset"], problem_seed, space=space, **overrides
-    )
+    preset = config["problem"]["preset"]
+    return {seed: make_problem(preset, seed, space=space, **overrides) for seed in seeds}
 
 
 def _scheduler_factory(
@@ -408,6 +408,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     budget = float(config["budget"])
     max_concurrent = int(config["max_concurrent"])
 
+    problems = _build_problems(config, seeds)
     summary_rows: list[tuple] = []
     arm_summaries: list[dict] = []
     for arm in config["arms"]:
@@ -415,7 +416,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         params = arm.get("params", {})
         per_seed: list[dict] = []
         for seed in seeds:
-            problem = _build_problem(config, seed)
+            problem = problems[seed]
             factory = _scheduler_factory(arm["scheduler"], params, problem.space)
             result = run_experiment(problem, factory, budget, max_concurrent, seed)
             _write_run_files(out_dir, name, seed, result)
@@ -511,11 +512,12 @@ def cmd_truncation_sweep(args: argparse.Namespace) -> int:
             print(f"truncation percentage {pct} outside (0, 1)", file=sys.stderr)
             return 2
 
+    problems = _build_problems(config, seeds)
     rows = []
     for pct in percentages:
         scores, trials = [], []
         for seed in seeds:
-            problem = _build_problem(config, seed)
+            problem = problems[seed]
             factory = _scheduler_factory(
                 "ace", {"truncation_percentage": pct}, problem.space
             )

@@ -12,11 +12,17 @@ also tracks the best feasible optimization metric seen so far and the cost
 clock when it was set (metrics are minimized internally), and a ledger of
 charged costs from which the empirical constraint-to-training cost ratio is
 estimated.
+
+Once a trial's rank inside its constraint group is first asked for, the
+history keeps one sorted list of stratum keys per group and moves a row's
+key on each of its records, so a rank costs a bisect, not a scan of the
+group. Runs that never rank by group never build the lists.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING
@@ -191,6 +197,21 @@ class TrialSnapshot:
     status: str | None = None
 
 
+def _stratum_key(group: Group, violation: float | None, opt: float, trial_id: int) -> tuple:
+    """Ascending ranking key inside a constraint group, best first.
+
+    Invalid trials order by (violation, optimization metric); the other
+    groups by optimization metric alone. Ties break by trial id.
+    """
+    if group is Group.INVALID:
+        return (violation, opt, trial_id)
+    return (opt, trial_id)
+
+
+def _row_key(row: TrialSnapshot) -> tuple:
+    return _stratum_key(row.group, row.latest_violation, row.best_opt, row.trial_id)
+
+
 class RunningHistory:
     """Single-writer record store shared by the simulator and the scheduler."""
 
@@ -201,6 +222,8 @@ class RunningHistory:
         self.best_feasible_time: float | None = None
         self.ledger = CostLedger()
         self._trials: dict[int, TrialSnapshot] = {}
+        # Sorted stratum keys of each group's rows; None until group_rank is first called.
+        self._group_keys: dict[Group, list[tuple]] | None = None
 
     @property
     def trials(self) -> list[TrialSnapshot]:
@@ -208,7 +231,13 @@ class RunningHistory:
         return list(self._trials.values())
 
     def start_trial(self, trial_id: int, max_iterations: int, interval: int | None) -> None:
-        """Create the trial's row with the facts fixed for its lifetime."""
+        """Create the trial's row with the facts fixed for its lifetime.
+
+        Starting a trial that already has a row replaces the row.
+        """
+        old = self._trials.get(trial_id)
+        if self._group_keys is not None and old is not None and old.group is not None:
+            self._drop_key(old.group, _row_key(old))
         self._trials[trial_id] = TrialSnapshot(trial_id, max_iterations, interval)
 
     def record_checkpoint(self, record: CheckpointRecord) -> CheckpointEntry:
@@ -216,6 +245,8 @@ class RunningHistory:
 
         A record of a trial never started gets a fresh row. Only a strictly
         lower metric moves a best, so ties keep the earlier one and NaN never wins.
+        Once :meth:`group_rank` has built the sorted stratum keys, the row's
+        key moves with the row.
         """
         if record.group is Group.VALID and not self.constraint.is_satisfied(record.constraint_value):
             raise ValueError("valid record with constraint value above the threshold")
@@ -233,13 +264,47 @@ class RunningHistory:
         row = self._trials.get(record.trial_id)
         if row is None:
             row = self._trials[record.trial_id] = TrialSnapshot(record.trial_id)
+        index = self._group_keys
+        old_group = row.group
+        old_key = _row_key(row) if index is not None and old_group is not None else None
         row.group = record.group
         if record.opt_metric < row.best_opt:
             row.best_opt = record.opt_metric
             row.best_iteration = record.iteration
         if record.group is Group.INVALID:
             row.latest_violation = record.violation_amount
+        if index is not None:
+            new_key = _row_key(row)
+            if old_group is not row.group or old_key != new_key:
+                if old_key is not None:
+                    self._drop_key(old_group, old_key)
+                insort(index[row.group], new_key)
         return entry
+
+    def _drop_key(self, group: Group, key: tuple) -> None:
+        """Remove exactly this key from the group's sorted list; a miss is a bug."""
+        keys = self._group_keys[group]
+        i = bisect_left(keys, key)
+        if i == len(keys) or keys[i] != key:
+            raise RuntimeError(f"group keys out of sync with trial {key[-1]}")
+        del keys[i]
+
+    def group_rank(self, trial_id: int) -> tuple[int, int]:
+        """The trial's rank from worst (1 = worst) inside its group, and the group's size.
+
+        Members order by :func:`_stratum_key` on their rows. The first call
+        builds the sorted key lists; ``record_checkpoint`` keeps them current.
+        """
+        if self._group_keys is None:
+            self._group_keys = {group: [] for group in Group}
+            for member in self._trials.values():
+                if member.group is not None:
+                    self._group_keys[member.group].append(_row_key(member))
+            for keys in self._group_keys.values():
+                keys.sort()
+        row = self._trials[trial_id]
+        keys = self._group_keys[row.group]
+        return len(keys) - bisect_left(keys, _row_key(row)), len(keys)
 
     def group_members(self, group: Group) -> list[TrialSnapshot]:
         """Trials whose most recent checkpoint sits in the given group."""

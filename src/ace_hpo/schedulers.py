@@ -29,12 +29,20 @@ the interval back from that row.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
 from .cost_model import choose_interval
-from .history import CheckpointEntry, CheckpointRecord, ConstraintSpec, Group, RunningHistory
+from .history import (
+    CheckpointEntry,
+    CheckpointRecord,
+    ConstraintSpec,
+    Group,
+    RunningHistory,
+    _stratum_key,
+)
 
 __all__ = [
     "Action",
@@ -109,35 +117,20 @@ def ace_gate(
     return not gate_enabled or opt_metric <= history.best_feasible_score
 
 
-def _stratum_key(group: Group, violation: float | None, opt: float, trial_id: int) -> tuple:
-    """Ascending ranking key inside a constraint group, best first.
-
-    Invalid trials order by (violation, optimization metric); the other
-    groups by optimization metric alone. Ties break by trial id.
-    """
-    if group is Group.INVALID:
-        return (violation, opt, trial_id)
-    return (opt, trial_id)
-
-
 def _stratum_decision(
     config: AceConfig, history: RunningHistory, trial_id: int, group: Group
 ) -> tuple[Action, int, int]:
     """Stop the trial iff it sits in the bottom floor(P * n) of its n-trial group.
 
-    Members rank by :func:`_stratum_key` on best-so-far metric (never NaN)
-    and latest violation. Returns the action, the trial's rank-from-worst (1
-    is the worst member; keys are distinct, so a count suffices) and n.
+    Members rank by the history's stratum key (best-so-far metric, never
+    NaN, and latest violation). Returns the action, the trial's
+    rank-from-worst from :meth:`RunningHistory.group_rank` (1 is the worst
+    member) and n.
     """
     snap = history.trial_snapshot(trial_id)
     if snap is None or snap.group is not group:
         raise ValueError("trial has no current record in the queried group")
-    own = _stratum_key(group, snap.latest_violation, snap.best_opt, trial_id)
-    members = history.group_members(group)
-    size = len(members)
-    rank = size - sum(
-        1 for m in members if _stratum_key(group, m.latest_violation, m.best_opt, m.trial_id) < own
-    )
+    rank, size = history.group_rank(trial_id)
     if rank <= math.floor(config.truncation_percentage * size):
         return Action.STOP, rank, size
     return Action.CONTINUE, rank, size
@@ -286,6 +279,8 @@ class AshaScheduler(TrialScheduler):
     A trial reaching a rung is promoted iff it ranks within the top 1/eta
     of the results recorded at that rung so far, with promotions capped at
     ceil(m/eta) per rung (ties admitted up to the cap, broken by trial id).
+    A NaN metric ranks as +inf, behind every number. Each rung keeps its
+    results sorted, so an arrival's rank is its bisect position.
     In stratum mode the rung test applies within the trial's constraint
     group instead of the whole rung population.
     """
@@ -335,16 +330,17 @@ class AshaScheduler(TrialScheduler):
     ) -> tuple[Action, int | None, int | None]:
         if iteration not in self._rung_set:
             return Action.CONTINUE, None, None
+        opt = math.inf if math.isnan(record.opt_metric) else record.opt_metric
         if self.config.stratum_mode:
             key: tuple = (iteration, record.group)
-            entry = _stratum_key(record.group, record.violation_amount, record.opt_metric, trial_id)
+            entry = _stratum_key(record.group, record.violation_amount, opt, trial_id)
         else:
             key = (iteration,)
-            entry = (record.opt_metric, trial_id)
+            entry = (opt, trial_id)
         entries = self._rung_entries.setdefault(key, [])
-        entries.append(entry)
-        entries.sort()
-        rank = entries.index(entry) + 1
+        position = bisect_left(entries, entry)
+        entries.insert(position, entry)
+        rank = position + 1
         size = len(entries)
         cap = -(-size // self.config.reduction_factor)
         promoted = self._rung_promotions.get(key, 0)

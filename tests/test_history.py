@@ -149,3 +149,52 @@ def test_ledger_ratio_scale_invariant(scale, n_primary, n_constraint):
         a.add_constraint(2.0 + i)
         b.add_constraint((2.0 + i) * scale)
     assert a.cost_ratio() == pytest.approx(b.cost_ratio())
+
+
+_OPS = st.one_of(
+    st.tuples(st.just("start"), st.integers(0, 5)),
+    st.tuples(
+        st.just("record"),
+        st.integers(0, 5),
+        st.one_of(st.sampled_from([0.1, 0.2, 0.3, math.nan, math.inf]), st.floats(0.0, 1.0)),
+        st.one_of(st.none(), st.sampled_from([0.1, 0.25, 0.3, 0.5, math.inf])),
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_OPS, max_size=60), st.integers(0, 60))
+def test_group_rank_matches_brute_force_count(stream, first_rank_at):
+    # Rows are mirrored here (group, best metric under the strict "<" rule,
+    # latest violation) and ranked by counting better members of the group.
+    # Ranks are asked for only from op `first_rank_at` on, so the sorted
+    # lists get built mid-stream and then kept current by record_checkpoint.
+    history = RunningHistory(TAU)
+    rows: dict[int, list] = {}
+
+    def key(trial):
+        group, best, violation = rows[trial]
+        return (violation, best, trial) if group is Group.INVALID else (best, trial)
+
+    for i, op in enumerate(stream):
+        if op[0] == "start":
+            history.start_trial(op[1], 8, None)
+            rows[op[1]] = [None, math.inf, None]
+        else:
+            _, trial, opt, value = op
+            record = TAU.classify(trial, i + 1, opt, value)
+            history.record_checkpoint(record)
+            row = rows.setdefault(trial, [None, math.inf, None])
+            row[0] = record.group
+            if opt < row[1]:
+                row[1] = opt
+            if record.group is Group.INVALID:
+                row[2] = record.violation_amount
+        if i < first_rank_at:
+            continue
+        for trial, (group, _, _) in rows.items():
+            if group is None:
+                continue
+            members = [t for t, r in rows.items() if r[0] is group]
+            better = sum(1 for t in members if key(t) < key(trial))
+            assert history.group_rank(trial) == (len(members) - better, len(members))

@@ -308,6 +308,49 @@ class TestAsha:
         assert not sched.wants_constraint(0, 4, 16, 0.5)
         assert sched.wants_constraint(0, 16, 16, 0.5)
 
+    @pytest.mark.parametrize("stratum_mode", [False, True])
+    def test_nan_arrival_ranks_behind_every_number(self, stratum_mode):
+        history = fresh_history()
+        sched = AshaScheduler(AshaConfig(max_time_units=16, stratum_mode=stratum_mode), history)
+        ranks = []
+        for trial, opt in enumerate([0.5, math.nan, 0.3, 0.1]):
+            sched.on_trial_start(trial, 16)
+            entry = sched.step(trial, 1, 16, opt, charging_eval(history, 0.1))
+            ranks.append((entry.rank, entry.group_size))
+        assert ranks == [(1, 1), (2, 2), (1, 3), (1, 4)]
+        assert math.isnan(history.records[1].record.opt_metric)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.booleans(),
+        st.lists(
+            st.tuples(
+                st.sampled_from([1, 4, 16]),
+                st.one_of(st.sampled_from([0.2, 0.5]), st.floats(-1.0, 1.0)),
+                st.sampled_from([0.1, 0.25, 0.3, 0.9]),
+            ),
+            max_size=40,
+        ),
+    )
+    def test_rung_rank_matches_sort_and_index(self, stratum_mode, arrivals):
+        history = fresh_history()
+        sched = AshaScheduler(AshaConfig(max_time_units=16, stratum_mode=stratum_mode), history)
+        pools: dict[tuple, list] = {}
+        for trial, (rung, opt, value) in enumerate(arrivals):
+            sched.on_trial_start(trial, 16)
+            entry = sched.step(trial, rung, 16, opt, charging_eval(history, value))
+            record = entry.record
+            if not stratum_mode:
+                pool, key = (rung,), (opt, trial)
+            elif record.group is Group.INVALID:
+                pool, key = (rung, record.group), (record.violation_amount, opt, trial)
+            else:
+                pool, key = (rung, record.group), (opt, trial)
+            keys = pools.setdefault(pool, [])
+            keys.append(key)
+            keys.sort()
+            assert (entry.rank, entry.group_size) == (keys.index(key) + 1, len(keys))
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             AshaConfig(max_time_units=16, reduction_factor=1)

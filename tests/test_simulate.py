@@ -308,6 +308,19 @@ class TestRunExperiment:
         assert ranked
         assert all(r.iteration in (1, 4, 16, 64) for r in ranked)
 
+    def test_stratum_ranking_never_scans_group_members(self, monkeypatch):
+        def scan(history, group):
+            raise AssertionError("stratum ranking scanned every member of a group")
+
+        monkeypatch.setattr(RunningHistory, "group_members", scan)
+        problem = make_problem("fairness-like", problem_seed=8)
+        for factory in (
+            lambda h: AceScheduler(AceConfig(), h),
+            lambda h: AshaScheduler(AshaConfig(max_time_units=64, stratum_mode=True), h),
+        ):
+            result = run_experiment(problem, factory, budget=300.0, max_concurrent=4, seed=8)
+            assert any(e.rank is not None for e in result.history.records)
+
     def test_invalid_arguments(self):
         problem = fixed_length_problem()
         with pytest.raises(ValueError):
