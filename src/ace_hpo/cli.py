@@ -250,22 +250,13 @@ def _build_problems(config: dict, seeds: list[int]) -> dict:
 def _scheduler_factory(
     kind: str, params: dict, space: SearchSpace
 ) -> Callable[[RunningHistory], TrialScheduler]:
+    """An arm's scheduler factory; keys absent from ``params`` keep the config defaults."""
     if kind == "ace":
-        config = AceConfig(
-            truncation_percentage=params.get("truncation_percentage", 0.25),
-            low_overhead_gate=params.get("low_overhead_gate", True),
-            stopping_mode=StoppingMode(params.get("stopping_mode", "stratum")),
-            interval_mode=IntervalMode(params.get("interval_mode", "adaptive")),
-        )
+        enums = {"stopping_mode": StoppingMode, "interval_mode": IntervalMode}
+        config = AceConfig(**{k: enums[k](v) if k in enums else v for k, v in params.items()})
         return lambda history: AceScheduler(config, history)
     if kind in ("asha", "asha_callback"):
-        config = AshaConfig(
-            max_time_units=params.get("max_time_units", space.max_iterations),
-            reduction_factor=params.get("reduction_factor", 4),
-            grace_period=params.get("grace_period", 1),
-            stratum_mode=params.get("stratum_mode", False),
-            constraint_interval_fixed=params.get("constraint_interval_fixed", True),
-        )
+        config = AshaConfig(**{"max_time_units": space.max_iterations, **params})
         if kind == "asha":
             return lambda history: AshaScheduler(config, history)
         return lambda history: ConstraintCallback(AshaScheduler(config, history))
@@ -315,22 +306,21 @@ SUMMARY_HEADER = ("arm", "seed", *SUMMARY_FIELDS)
 
 
 def _write_run_files(out_dir: Path, arm: str, seed: int, result: RunResult) -> None:
-    """Trace rows per checkpoint entry, decision rows per loop checkpoint, trial rows."""
+    """Trace rows per checkpoint record, decision rows per loop checkpoint, trial rows."""
     prefix = f"{arm}_seed{seed}"
     trace_rows, decision_rows = [], []
-    for entry in result.history.records:
-        r = entry.record
+    for r in result.history.records:
         trace_rows.append(
             (
                 r.trial_id, r.iteration, r.opt_metric, r.constraint_value,
-                r.group.value, r.violation_amount, entry.sim_time,
+                r.group.value, r.violation_amount, r.sim_time,
             )
         )
-        if entry.action is not None:
+        if r.action is not None:
             decision_rows.append(
                 (
-                    entry.sim_time, r.trial_id, r.iteration, entry.action.value,
-                    entry.evaluate_constraint, r.group.value, entry.rank, entry.group_size,
+                    r.sim_time, r.trial_id, r.iteration, r.action.value,
+                    r.evaluate_constraint, r.group.value, r.rank, r.group_size,
                 )
             )
     _write_csv(out_dir / f"{prefix}_trace.csv", TRACE_HEADER, trace_rows)

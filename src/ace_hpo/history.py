@@ -1,11 +1,11 @@
-"""Running tuning history: checkpoint entries, trial rows, incumbent, cost ledger.
+"""Running tuning history: checkpoint records, trial rows, incumbent, cost ledger.
 
-Every checkpoint of every trial lands here exactly once, as one entry of
-``RunningHistory.records``: an immutable record tagged with its constraint
-group (``no_constraint`` when the constraint was not evaluated, else
-``valid`` or ``invalid`` against an upper-bound threshold), the ledger's
-total cost when it landed, and, for checkpoints of the training loop, the
-scheduler's action and rank. Every trial owns one row of
+Every checkpoint of every trial lands here exactly once, as one record of
+``RunningHistory.records``: the observation tagged with its constraint group
+(``no_constraint`` when the constraint was not evaluated, else ``valid`` or
+``invalid`` against an upper-bound threshold), stamped with the ledger's
+total cost when it landed and, for checkpoints of the training loop, with
+the scheduler's action and rank. Every trial owns one row of
 ``RunningHistory.trials``, kept current as its records land. The trace,
 decision and trial files are projections of these two lists. The history
 also tracks the best feasible optimization metric seen so far and the cost
@@ -34,7 +34,6 @@ __all__ = [
     "Group",
     "ConstraintSpec",
     "CheckpointRecord",
-    "CheckpointEntry",
     "CostLedger",
     "TrialSnapshot",
     "RunningHistory",
@@ -49,7 +48,11 @@ class Group(str, Enum):
 
 @dataclass(frozen=True)
 class ConstraintSpec:
-    """Upper-bound constraint: a checkpoint is feasible iff value <= threshold."""
+    """Upper-bound constraint: a checkpoint is feasible iff value <= threshold.
+
+    A non-finite value (NaN or either infinity) is never feasible and
+    violates the constraint by +inf.
+    """
 
     threshold: float
 
@@ -58,10 +61,10 @@ class ConstraintSpec:
             raise ValueError("constraint threshold must be finite")
 
     def is_satisfied(self, value: float) -> bool:
-        return value <= self.threshold
+        return math.isfinite(value) and value <= self.threshold
 
     def violation(self, value: float) -> float:
-        return value - self.threshold
+        return value - self.threshold if math.isfinite(value) else math.inf
 
     def classify(
         self,
@@ -85,14 +88,27 @@ class ConstraintSpec:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class CheckpointRecord:
+    """One checkpoint of a run.
+
+    The first six fields are the observation. ``sim_time`` is the cost clock
+    when the history recorded it (None until then); ``action`` is the
+    scheduler's action, with the trial's rank-from-worst and group size
+    behind it (``action`` stays None for post-hoc scan evaluations; the rank
+    fields stay None when the rule ranked nothing).
+    """
+
     trial_id: int
     iteration: int
     opt_metric: float
     constraint_value: float | None
     group: Group
     violation_amount: float | None = None
+    sim_time: float | None = None
+    action: Action | None = None
+    rank: int | None = None
+    group_size: int | None = None
 
     def __post_init__(self) -> None:
         if self.iteration < 1:
@@ -108,30 +124,9 @@ class CheckpointRecord:
             if self.violation_amount is None or not self.violation_amount > 0:
                 raise ValueError("invalid record requires a positive violation amount")
 
-
-@dataclass(slots=True)
-class CheckpointEntry:
-    """One checkpoint of a run.
-
-    Holds the record, the cost clock when it landed, and the scheduler's
-    action with the trial's rank-from-worst and group size behind it
-    (``action`` is None for post-hoc scan evaluations; rank fields are None
-    when the rule ranked nothing).
-    """
-
-    record: CheckpointRecord
-    sim_time: float
-    action: Action | None = None
-    rank: int | None = None
-    group_size: int | None = None
-
-    @property
-    def group(self) -> Group:
-        return self.record.group
-
     @property
     def evaluate_constraint(self) -> bool:
-        return self.record.constraint_value is not None
+        return self.constraint_value is not None
 
 
 @dataclass
@@ -217,7 +212,7 @@ class RunningHistory:
 
     def __init__(self, constraint: ConstraintSpec):
         self.constraint = constraint
-        self.records: list[CheckpointEntry] = []
+        self.records: list[CheckpointRecord] = []
         self.best_feasible_score: float = math.inf
         self.best_feasible_time: float | None = None
         self.ledger = CostLedger()
@@ -240,14 +235,18 @@ class RunningHistory:
             self._drop_key(old.group, _row_key(old))
         self._trials[trial_id] = TrialSnapshot(trial_id, max_iterations, interval)
 
-    def record_checkpoint(self, record: CheckpointRecord) -> CheckpointEntry:
-        """Append the record's entry; update the incumbent and the trial's row.
+    def record_checkpoint(self, record: CheckpointRecord) -> CheckpointRecord:
+        """Stamp the record's ``sim_time``, append it, update the incumbent and
+        the trial's row; return the record.
 
-        A record of a trial never started gets a fresh row. Only a strictly
-        lower metric moves a best, so ties keep the earlier one and NaN never wins.
-        Once :meth:`group_rank` has built the sorted stratum keys, the row's
-        key moves with the row.
+        Recording a record twice raises: one object would stand for two
+        checkpoints. A record of a trial never started gets a fresh row.
+        Only a strictly lower metric moves a best, so ties keep the earlier
+        one and NaN never wins. Once :meth:`group_rank` has built the sorted
+        stratum keys, the row's key moves with the row.
         """
+        if record.sim_time is not None:
+            raise ValueError("checkpoint record already recorded")
         if record.group is Group.VALID and not self.constraint.is_satisfied(record.constraint_value):
             raise ValueError("valid record with constraint value above the threshold")
         if record.group is Group.INVALID:
@@ -256,11 +255,11 @@ class RunningHistory:
             expected = self.constraint.violation(record.constraint_value)
             if not math.isclose(record.violation_amount, expected, rel_tol=1e-9, abs_tol=1e-12):
                 raise ValueError("violation amount inconsistent with value and threshold")
-        entry = CheckpointEntry(record, self.ledger.total_cost)
-        self.records.append(entry)
+        record.sim_time = self.ledger.total_cost
+        self.records.append(record)
         if record.group is Group.VALID and record.opt_metric < self.best_feasible_score:
             self.best_feasible_score = record.opt_metric
-            self.best_feasible_time = entry.sim_time
+            self.best_feasible_time = record.sim_time
         row = self._trials.get(record.trial_id)
         if row is None:
             row = self._trials[record.trial_id] = TrialSnapshot(record.trial_id)
@@ -279,7 +278,7 @@ class RunningHistory:
                 if old_key is not None:
                     self._drop_key(old_group, old_key)
                 insort(index[row.group], new_key)
-        return entry
+        return record
 
     def _drop_key(self, group: Group, key: tuple) -> None:
         """Remove exactly this key from the group's sorted list; a miss is a bug."""

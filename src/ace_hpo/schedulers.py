@@ -19,7 +19,7 @@ scan for fully constraint-agnostic runs.
 
 Every scheduler records one checkpoint per training iteration into a shared
 :class:`~ace_hpo.history.RunningHistory` and writes its action and rank onto
-that checkpoint's entry; the simulator performs the actual metered metric
+that checkpoint's record; the simulator performs the actual metered metric
 evaluations and charges their costs. ``on_trial_start`` creates the trial's
 row in the history with the constraint-evaluation interval from the
 scheduler's ``interval_for`` hook (None: no schedule); the schedulers read
@@ -36,7 +36,6 @@ from typing import Callable
 
 from .cost_model import choose_interval
 from .history import (
-    CheckpointEntry,
     CheckpointRecord,
     ConstraintSpec,
     Group,
@@ -182,24 +181,24 @@ class TrialScheduler:
         max_iterations: int,
         opt_metric: float,
         evaluate: Callable[[], float],
-    ) -> CheckpointEntry:
+    ) -> CheckpointRecord:
         """One checkpoint: maybe evaluate the constraint, record, then rule.
 
         ``evaluate`` performs (and charges) the constraint evaluation at the
         current iteration; it is called at most once. A trial reaching its
         final iteration completes regardless of the stopping rule. The
-        action and rank are written onto the checkpoint's history entry,
-        which is returned.
+        action and rank are written onto the checkpoint's record in the
+        history, which is returned.
         """
         want = self.wants_constraint(trial_id, iteration, max_iterations, opt_metric)
         value = evaluate() if want else None
         record = self.constraint.classify(trial_id, iteration, opt_metric, value)
-        entry = self.history.record_checkpoint(record)
-        action, entry.rank, entry.group_size = self.decide(
+        self.history.record_checkpoint(record)
+        action, record.rank, record.group_size = self.decide(
             trial_id, iteration, max_iterations, record
         )
-        entry.action = Action.CONTINUE if iteration >= max_iterations else action
-        return entry
+        record.action = Action.CONTINUE if iteration >= max_iterations else action
+        return record
 
 
 class AceScheduler(TrialScheduler):
@@ -389,30 +388,27 @@ class ScanResult:
     feasible_trial_id: int | None
     feasible_opt_metric: float | None
     evaluations: int
-    extra_cost: float
 
 
 def post_hoc_feasibility_scan(
     history: RunningHistory,
     candidates: list[tuple[int, int, float]],
-    evaluate: Callable[[int, int], tuple[float, float]],
+    evaluate: Callable[[int, int], float],
 ) -> ScanResult:
     """Certify a constraint-agnostic run's results after the budget is spent.
 
     ``candidates`` are (trial_id, best iteration, best optimization metric)
     tuples already sorted best-first. The constraint is evaluated at each
     candidate's best checkpoint, best candidate first, until one proves
-    feasible; every evaluation is recorded into the history and its cost
-    accumulated. ``evaluate`` returns (constraint value, charged cost).
+    feasible; every evaluation is recorded into the history. ``evaluate``
+    performs (and charges) one evaluation and returns the constraint value.
     """
-    total_cost = 0.0
     evaluations = 0
     for trial_id, iteration, opt_metric in candidates:
-        value, cost = evaluate(trial_id, iteration)
-        total_cost += cost
+        value = evaluate(trial_id, iteration)
         evaluations += 1
         record = history.constraint.classify(trial_id, iteration, opt_metric, value)
         history.record_checkpoint(record)
         if record.group is Group.VALID:
-            return ScanResult(trial_id, opt_metric, evaluations, total_cost)
-    return ScanResult(None, None, evaluations, total_cost)
+            return ScanResult(trial_id, opt_metric, evaluations)
+    return ScanResult(None, None, evaluations)

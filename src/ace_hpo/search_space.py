@@ -97,12 +97,6 @@ class SearchSpace:
         axis = self.iteration_axis
         return int(max(axis.choices) if axis.kind is ParamKind.CHOICE else axis.high)
 
-    def spec(self, name: str) -> ParamSpec:
-        for p in self.params:
-            if p.name == name:
-                return p
-        raise KeyError(name)
-
 
 @dataclass(frozen=True)
 class Configuration:

@@ -239,10 +239,6 @@ class SyntheticProblem:
         return self.spec.space
 
     @property
-    def name(self) -> str:
-        return self.spec.name
-
-    @property
     def maximize(self) -> bool:
         return self.spec.maximize
 
@@ -434,7 +430,7 @@ STATUS_BUDGET_TRUNCATED = "budget_truncated"
 class RunResult:
     """Everything one run produced; file emission happens in the CLI layer.
 
-    Per-checkpoint data lives only in ``history.records``, one entry per
+    Per-checkpoint data lives only in ``history.records``, one record per
     training-loop checkpoint followed by one per post-hoc scan evaluation;
     per-trial data only in ``history.trials``, in trial-id order. Everything
     else is derived from those rows, the ledger and the incumbent.
@@ -596,11 +592,11 @@ def run_experiment(
             slot.virtual_time += curve.constraint_cost
             return value
 
-        entry = scheduler.step(trial.trial_id, t, curve.max_iterations, opt, evaluate)
+        record = scheduler.step(trial.trial_id, t, curve.max_iterations, opt, evaluate)
         if t >= curve.max_iterations:
             finish_trial(trial, STATUS_COMPLETED)
             slot.trial = None
-        elif entry.action is Action.STOP:
+        elif record.action is Action.STOP:
             finish_trial(trial, STATUS_STOPPED)
             slot.trial = None
         heapq.heappush(heap, (slot.virtual_time, seq, slot))
@@ -613,10 +609,10 @@ def run_experiment(
             (r.trial_id, r.best_iteration, r.best_opt) for r in ranked if r.best_iteration >= 1
         ]
 
-        def scan_eval(trial_id: int, iteration: int) -> tuple[float, float]:
-            curve = curves[trial_id]
-            value = eval_constraint_metric(curve, iteration, problem.problem_seed, trial_id, meter)
-            return value, curve.constraint_cost
+        def scan_eval(trial_id: int, iteration: int) -> float:
+            return eval_constraint_metric(
+                curves[trial_id], iteration, problem.problem_seed, trial_id, meter
+            )
 
         scan = post_hoc_feasibility_scan(history, candidates, scan_eval)
 

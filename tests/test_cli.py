@@ -13,6 +13,7 @@ import pytest
 
 from ace_hpo.cli import ConfigError, _build_space, _scheduler_factory, load_config, main
 from ace_hpo.history import ConstraintSpec, RunningHistory
+from ace_hpo.schedulers import AceConfig, AshaConfig, IntervalMode, StoppingMode
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -293,6 +294,21 @@ class TestRunCommand:
             assert {d["iteration"] for d in decisions if d["rank"]} <= {"1", "4", "16", "64"}
         factory = _scheduler_factory("asha", {}, _build_space(space))
         assert factory(RunningHistory(ConstraintSpec(0.0))).config.max_time_units == 64
+
+
+def test_scheduler_factory_defaults_are_the_config_defaults():
+    epochs = {"name": "epochs", "kind": "log_uniform_int", "low": 1, "high": 27}
+    space = _build_space({"params": [dict(epochs, iteration_axis=True)]})
+    history = RunningHistory(ConstraintSpec(0.0))
+    assert _scheduler_factory("ace", {}, space)(history).config == AceConfig()
+    asha = AshaConfig(max_time_units=space.max_iterations)
+    assert _scheduler_factory("asha", {}, space)(history).config == asha
+    assert _scheduler_factory("asha_callback", {}, space)(history).inner.config == asha
+    # The enum fields arrive as strings and must become members: the schedulers test them with `is`.
+    ace = _scheduler_factory("ace", {"stopping_mode": "hard", "interval_mode": "fixed_1"}, space)
+    config = ace(history).config
+    assert config.stopping_mode is StoppingMode.HARD
+    assert config.interval_mode is IntervalMode.FIXED_1
 
 
 class TestOutputContract:

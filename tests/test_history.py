@@ -110,6 +110,24 @@ def test_trial_rows_own_start_facts_best_and_incumbent_time():
     assert (row.best_opt, row.best_iteration) == (0.2, 4)
 
 
+def test_non_finite_constraint_values_are_invalid_with_infinite_violation():
+    history = RunningHistory(TAU)
+    history.record_checkpoint(TAU.classify(1, 1, 0.5, 0.1))
+    history.record_checkpoint(TAU.classify(2, 1, 0.9, 0.3))
+    history.record_checkpoint(TAU.classify(3, 1, 0.8, 5.0))
+    assert history.group_rank(3) == (1, 2)
+    # Each non-finite trial has a better metric than the incumbent and ranks
+    # by (inf, metric), so the newest, with the largest metric, is the worst.
+    for trial, (opt, value) in enumerate([(0.1, math.nan), (0.2, math.inf), (0.3, -math.inf)], 4):
+        assert not TAU.is_satisfied(value)
+        record = history.record_checkpoint(TAU.classify(trial, 1, opt, value))
+        assert record.group is Group.INVALID
+        assert record.violation_amount == math.inf
+        assert history.best_feasible_score == 0.5
+        assert history.group_rank(trial) == (1, trial - 1)
+    assert history.best_feasible_time == 0.0
+
+
 def test_ledger_ratio():
     ledger = CostLedger()
     assert ledger.cost_ratio() is None

@@ -318,7 +318,7 @@ class TestAsha:
             entry = sched.step(trial, 1, 16, opt, charging_eval(history, 0.1))
             ranks.append((entry.rank, entry.group_size))
         assert ranks == [(1, 1), (2, 2), (1, 3), (1, 4)]
-        assert math.isnan(history.records[1].record.opt_metric)
+        assert math.isnan(history.records[1].opt_metric)
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -338,8 +338,7 @@ class TestAsha:
         pools: dict[tuple, list] = {}
         for trial, (rung, opt, value) in enumerate(arrivals):
             sched.on_trial_start(trial, 16)
-            entry = sched.step(trial, rung, 16, opt, charging_eval(history, value))
-            record = entry.record
+            record = sched.step(trial, rung, 16, opt, charging_eval(history, value))
             if not stratum_mode:
                 pool, key = (rung,), (opt, trial)
             elif record.group is Group.INVALID:
@@ -349,7 +348,7 @@ class TestAsha:
             keys = pools.setdefault(pool, [])
             keys.append(key)
             keys.sort()
-            assert (entry.rank, entry.group_size) == (keys.index(key) + 1, len(keys))
+            assert (record.rank, record.group_size) == (keys.index(key) + 1, len(keys))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -399,7 +398,7 @@ class TestPostHocScan:
 
         def _eval(trial_id, iteration):
             calls.append((trial_id, iteration))
-            return values[trial_id], 2.0
+            return values[trial_id]
 
         return _eval, calls
 
@@ -410,7 +409,6 @@ class TestPostHocScan:
         assert result.feasible_trial_id == 5
         assert result.feasible_opt_metric == 0.3
         assert result.evaluations == 1
-        assert result.extra_cost == 2.0
         assert calls == [(5, 7)]
         assert history.best_feasible_score == 0.3
 
@@ -421,7 +419,6 @@ class TestPostHocScan:
         result = post_hoc_feasibility_scan(history, candidates, evaluate)
         assert result.feasible_trial_id == 3
         assert result.evaluations == 3
-        assert result.extra_cost == 6.0
         assert len(calls) == 3
 
     def test_no_feasible_candidate(self):

@@ -2,10 +2,11 @@ import math
 
 import pytest
 
-from ace_hpo.history import CostLedger, Group, RunningHistory
+from ace_hpo.history import ConstraintSpec, CostLedger, Group, RunningHistory
 from ace_hpo.schedulers import (
     AceConfig,
     AceScheduler,
+    Action,
     AshaConfig,
     AshaScheduler,
     ConstraintCallback,
@@ -263,6 +264,30 @@ class TestRunExperiment:
         assert result.time_to_best >= result.budget
         assert result.constraint_evaluations == result.scan.evaluations
 
+    def test_one_record_per_checkpoint(self):
+        history = RunningHistory(ConstraintSpec(0.25))
+        sched = AceScheduler(AceConfig(), history)
+        sched.on_trial_start(0, 4)
+        history.ledger.add_primary(1.0)
+        record = sched.step(0, 1, 4, 0.5, lambda: 0.1)
+        assert record is history.records[-1]
+        assert (record.sim_time, record.action) == (1.0, Action.CONTINUE)
+        assert not hasattr(record, "__dict__")
+        with pytest.raises(ValueError, match="already recorded"):
+            history.record_checkpoint(record)
+        assert len(history.records) == 1
+
+        problem = make_problem("fairness-like", problem_seed=2)
+        result = run_experiment(
+            problem, NoStoppingScheduler, budget=1500.0, max_concurrent=2, seed=2
+        )
+        n_scan = result.scan.evaluations
+        loop, scan = result.history.records[:-n_scan], result.history.records[-n_scan:]
+        assert len(loop) == result.primary_iterations
+        assert all(r.action is not None for r in loop)
+        assert all(r.action is None and r.evaluate_constraint for r in scan)
+        assert all(r.sim_time > result.budget for r in scan)
+
     def test_reported_score_is_unnegated_for_maximize(self):
         problem = make_problem("fairness-like", problem_seed=0)
         result = run_experiment(
@@ -304,7 +329,7 @@ class TestRunExperiment:
         )
         assert result.total_trials > 0
         assert result.scan is not None
-        ranked = [e.record for e in result.history.records if e.rank is not None]
+        ranked = [r for r in result.history.records if r.rank is not None]
         assert ranked
         assert all(r.iteration in (1, 4, 16, 64) for r in ranked)
 
