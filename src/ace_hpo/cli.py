@@ -5,7 +5,7 @@ Subcommands:
 ``run``                executes every (arm, seed) combination from a JSON
                        config and writes per-run trace/decision/trial CSVs,
                        one summary JSON per arm, and a combined summary
-                       table in CSV and text form.
+                       table in CSV and text form; prints the text table.
 ``cost-curve``         emits closed-form expected-cost sweeps over the
                        evaluation interval as plot-ready CSV.
 ``truncation-sweep``   reruns the adaptive scheduler at several truncation
@@ -24,14 +24,18 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
+import functools
 import json
 import os
+import re
 import statistics
 import sys
+import types
+import typing
+from enum import Enum
 from pathlib import Path
 from typing import Any, Callable, Sequence
-
-import jsonschema
 
 from .cost_model import CostParams, expected_cost_closed
 from .history import RunningHistory
@@ -41,228 +45,208 @@ from .schedulers import (
     AshaConfig,
     AshaScheduler,
     ConstraintCallback,
-    IntervalMode,
     NoStoppingScheduler,
-    StoppingMode,
     TrialScheduler,
 )
-from .search_space import ParamKind, ParamSpec, SearchSpace
-from .simulate import PRESET_NAMES, LandscapeTerm, RunResult, make_problem, run_experiment
+from .search_space import SearchSpace
+from .simulate import (
+    PRESET_NAMES,
+    ProblemSpec,
+    RunResult,
+    make_problem,
+    problem_spec,
+    run_experiment,
+)
 from .validate import closed_form_equivalence_sweep, endpoint_optimality_sweep
 
-__all__ = ["main", "load_config", "CONFIG_SCHEMA"]
+__all__ = ["main", "load_config"]
 
 ENV_OUTPUT_DIR = "ACE_HPO_OUTPUT_DIR"
 DEFAULT_OUTPUT_DIR = "results"
 
-_TERM_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["param", "center", "weight"],
-    "properties": {
-        "param": {"type": "string"},
-        "center": {"type": "number"},
-        "weight": {"type": "number"},
-    },
-}
-
-_OVERRIDES_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {
-        "rate_param": {"type": "string"},
-        "rate_low": {"type": "number"},
-        "rate_high": {"type": "number"},
-        "opt_base": {"type": "number"},
-        "opt_gain": {"type": "number"},
-        "opt_start": {"type": "number"},
-        "opt_start_gain": {"type": "number"},
-        "constraint_base": {"type": "number"},
-        "constraint_gain": {"type": "number"},
-        "constraint_lift": {"type": "number"},
-        "constraint_rate_scale": {"type": "number"},
-        "osc_base": {"type": "number"},
-        "osc_gain": {"type": "number"},
-        "osc_period": {"type": "number"},
-        "opt_noise": {"type": "number"},
-        "constraint_noise": {"type": "number"},
-        "primary_cost": {"type": "number"},
-        "constraint_cost": {"type": "number"},
-        "feasible_fraction": {"type": "number"},
-        "maximize": {"type": "boolean"},
-        "quality_terms": {"type": "array", "items": _TERM_SCHEMA},
-        "feasibility_terms": {"type": "array", "items": _TERM_SCHEMA},
-    },
-}
-
-_PARAM_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["name", "kind"],
-    "properties": {
-        "name": {"type": "string", "minLength": 1},
-        "kind": {"enum": [k.value for k in ParamKind]},
-        "low": {"type": "number"},
-        "high": {"type": "number"},
-        "choices": {"type": "array", "minItems": 1},
-        "iteration_axis": {"type": "boolean"},
-    },
-}
-
-_ACE_PARAMS_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {
-        "truncation_percentage": {
-            "type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1
-        },
-        "low_overhead_gate": {"type": "boolean"},
-        "stopping_mode": {"enum": [m.value for m in StoppingMode]},
-        "interval_mode": {"enum": [m.value for m in IntervalMode]},
-    },
-}
-
-_ASHA_PARAMS_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {
-        "max_time_units": {"type": "integer", "minimum": 1},
-        "reduction_factor": {"type": "integer", "minimum": 2},
-        "grace_period": {"type": "integer", "minimum": 1},
-        "stratum_mode": {"type": "boolean"},
-        "constraint_interval_fixed": {"type": "boolean"},
-    },
-}
-
-_NO_PARAMS_SCHEMA = {"type": "object", "additionalProperties": False, "properties": {}}
-
 SCHEDULER_KINDS = ("ace", "asha", "asha_callback", "no_stopping")
-
-_ARM_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["name", "scheduler"],
-    "properties": {
-        "name": {"type": "string", "pattern": "^[A-Za-z0-9_-]+$"},
-        "scheduler": {"enum": list(SCHEDULER_KINDS)},
-        "params": {"type": "object"},
-    },
-    "allOf": [
-        {
-            "if": {"properties": {"scheduler": {"const": "ace"}}},
-            "then": {"properties": {"params": _ACE_PARAMS_SCHEMA}},
-        },
-        {
-            "if": {"properties": {"scheduler": {"enum": ["asha", "asha_callback"]}}},
-            "then": {"properties": {"params": _ASHA_PARAMS_SCHEMA}},
-        },
-        {
-            "if": {"properties": {"scheduler": {"const": "no_stopping"}}},
-            "then": {"properties": {"params": _NO_PARAMS_SCHEMA}},
-        },
-    ],
-}
-
-CONFIG_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["problem", "budget", "max_concurrent", "seeds", "arms"],
-    "properties": {
-        "problem": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["preset"],
-            "properties": {
-                "preset": {"enum": list(PRESET_NAMES)},
-                "overrides": _OVERRIDES_SCHEMA,
-            },
-        },
-        "space": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["params"],
-            "properties": {
-                "params": {"type": "array", "minItems": 1, "items": _PARAM_SCHEMA},
-            },
-        },
-        "budget": {"type": "number", "exclusiveMinimum": 0},
-        "max_concurrent": {"type": "integer", "minimum": 1},
-        "seeds": {
-            "type": "array",
-            "minItems": 1,
-            "items": {"type": "integer", "minimum": 0},
-        },
-        "output_dir": {"type": "string", "minLength": 1},
-        "arms": {"type": "array", "minItems": 1, "items": _ARM_SCHEMA},
-    },
-}
+_CONFIG_KEYS = ("problem", "space", "budget", "max_concurrent", "seeds", "output_dir", "arms")
+_REQUIRED_KEYS = ("problem", "budget", "max_concurrent", "seeds", "arms")
+# An arm's name is part of its output file names.
+_ARM_NAME = re.compile(r"[A-Za-z0-9_-]+")
 
 
 class ConfigError(Exception):
-    """Raised when a config file fails schema validation or cannot be read."""
+    """A config that cannot be read, or a config or flag value that is rejected.
+
+    Values are checked by building the config classes from them, so the
+    message names the JSON path (``arms/0/params``) or the flag
+    (``--seed``) and gives the class's own reason.
+    """
+
+
+def _error(path: str, message: str) -> ConfigError:
+    return ConfigError(f"config error at {path or '<root>'}: {message}")
+
+
+def _object(raw: Any, path: str, keys: Sequence[str], required: Sequence[str] = ()) -> dict:
+    """``raw`` checked to be a JSON object with only ``keys`` and every ``required`` key."""
+    if not isinstance(raw, dict):
+        raise _error(path, f"expected an object, got {raw!r}")
+    unknown = [key for key in raw if key not in keys]
+    if unknown:
+        raise _error(path, f"unknown key(s) {', '.join(map(repr, unknown))}")
+    missing = [key for key in required if key not in raw]
+    if missing:
+        raise _error(path, f"missing required key(s) {', '.join(map(repr, missing))}")
+    return raw
+
+
+def _build(
+    cls: type, raw: Any, path: str, make: Callable | None = None, fixed: Sequence[str] = ()
+) -> Any:
+    """Build dataclass ``cls`` from the JSON object ``raw`` found at ``path``.
+
+    Keys must name fields of ``cls`` other than ``fixed``, and each value
+    must match its field's type hint (see :func:`_value`). The checked
+    values go to ``make`` (default ``cls``) as keyword arguments; a
+    ValueError or TypeError raised there, by a missing field or a
+    ``__post_init__`` check, becomes a ConfigError at ``path``.
+    """
+    hints = typing.get_type_hints(cls)
+    names = [field.name for field in dataclasses.fields(cls) if field.name not in fixed]
+    values = {
+        key: _value(hints[key], value, f"{path}/{key}")
+        for key, value in _object(raw, path, names).items()
+    }
+    try:
+        return (make or cls)(**values)
+    except (TypeError, ValueError) as exc:
+        raise _error(path, str(exc)) from exc
+
+
+def _value(hint: Any, raw: Any, path: str) -> Any:
+    """``raw`` checked against a field's type hint, converted where the hint asks.
+
+    ``X | None`` takes what ``X`` takes (leave the key out for None). A bool
+    takes only true or false; a float takes any finite JSON number and an int
+    an integral one, but neither takes a bool. An Enum takes a member's
+    value, a ``tuple[X, ...]`` an array of X, and a dataclass an object.
+    """
+    if typing.get_origin(hint) in (typing.Union, types.UnionType):
+        hint = next(arg for arg in typing.get_args(hint) if arg is not type(None))
+    if hint is Any:
+        return raw
+    if dataclasses.is_dataclass(hint):
+        return _build(hint, raw, path)
+    if typing.get_origin(hint) is tuple:
+        if not isinstance(raw, list):
+            raise _error(path, f"expected an array, got {raw!r}")
+        item = typing.get_args(hint)[0]
+        return tuple(_value(item, entry, f"{path}/{i}") for i, entry in enumerate(raw))
+    if issubclass(hint, Enum):
+        try:
+            return hint(raw)
+        except (TypeError, ValueError):
+            raise _error(path, f"{raw!r} is not one of {[m.value for m in hint]}") from None
+    number = type(raw) in (int, float) and abs(raw) <= sys.float_info.max
+    if hint is float and number or hint in (bool, str) and type(raw) is hint:
+        return raw
+    if hint is int and number and raw == int(raw):
+        return int(raw)
+    raise _error(path, f"expected {hint.__name__}, got {raw!r}")
+
+
+def _seeds(seeds: Any, path: str) -> list[int]:
+    """Seeds from the config or from ``--seed``: distinct integers >= 0, at least one."""
+    if not isinstance(seeds, list) or not seeds:
+        raise _error(path, f"expected a non-empty array of seeds, got {seeds!r}")
+    for seed in seeds:
+        if type(seed) is not int or seed < 0:
+            raise _error(path, f"seed {seed!r} is not an integer >= 0")
+    if len(set(seeds)) < len(seeds):
+        raise _error(path, f"duplicate seeds in {seeds}")
+    return seeds
+
+
+def _build_space(space_cfg: Any) -> SearchSpace:
+    return _build(SearchSpace, space_cfg, "space")
+
+
+def _problem(config: dict) -> tuple[str, dict, SearchSpace]:
+    """A config's preset, its typed ``make_problem`` overrides and its search space.
+
+    The overrides are checked by building the spec, which is not calibrated.
+    """
+    problem = _object(config["problem"], "problem", ("preset", "overrides"), ("preset",))
+    preset = problem["preset"]
+    if preset not in PRESET_NAMES:
+        raise _error("problem/preset", f"unknown preset {preset!r}; expected one of {PRESET_NAMES}")
+    overrides = _build(
+        ProblemSpec, problem.get("overrides", {}), "problem/overrides",
+        make=dict, fixed=("name", "space"),
+    )
+    if "space" in config:
+        overrides["space"] = _build_space(config["space"])
+    try:
+        spec = problem_spec(preset, **overrides)
+    except ValueError as exc:
+        raise _error("problem", str(exc)) from exc
+    return preset, overrides, spec.space
+
+
+def _scheduler_factory(
+    kind: str, params: Any, space: SearchSpace, path: str = "params"
+) -> Callable[[RunningHistory], TrialScheduler]:
+    """An arm's scheduler factory; keys absent from ``params`` keep the config defaults."""
+    if kind == "ace":
+        ace = _build(AceConfig, params, path)
+        return lambda history: AceScheduler(ace, history)
+    if kind in ("asha", "asha_callback"):
+        make = functools.partial(AshaConfig, max_time_units=space.max_iterations)
+        asha = _build(AshaConfig, params, path, make=make)
+        if kind == "asha":
+            return lambda history: AshaScheduler(asha, history)
+        return lambda history: ConstraintCallback(AshaScheduler(asha, history))
+    if kind == "no_stopping":
+        _object(params, path, ())
+        return lambda history: NoStoppingScheduler(history)
+    raise ValueError(f"unknown scheduler kind {kind!r}")
 
 
 def load_config(path: str | Path) -> dict:
+    """Read a JSON experiment config and check it by building what ``run`` builds.
+
+    Returns the parsed config. Problems are not calibrated here.
+    """
     try:
         with open(path, encoding="utf-8") as handle:
-            raw = json.load(handle)
+            config = json.load(handle)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    try:
-        jsonschema.validate(raw, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        where = "/".join(str(part) for part in exc.absolute_path) or "<root>"
-        raise ConfigError(f"config error at {where}: {exc.message}") from exc
-    return raw
-
-
-def _build_space(space_cfg: dict) -> SearchSpace:
-    params = []
-    for entry in space_cfg["params"]:
-        params.append(
-            ParamSpec(
-                name=entry["name"],
-                kind=ParamKind(entry["kind"]),
-                low=entry.get("low"),
-                high=entry.get("high"),
-                choices=tuple(entry.get("choices", ())),
-                iteration_axis=entry.get("iteration_axis", False),
-            )
-        )
-    return SearchSpace(tuple(params))
-
-
-def _build_problems(config: dict, seeds: list[int]) -> dict:
-    """One calibrated problem per seed, shared by every arm (a problem is never mutated)."""
-    overrides = dict(config["problem"].get("overrides", {}))
-    for key in ("quality_terms", "feasibility_terms"):
-        if key in overrides:
-            overrides[key] = tuple(
-                LandscapeTerm(t["param"], t["center"], t["weight"]) for t in overrides[key]
-            )
-    space = _build_space(config["space"]) if "space" in config else None
-    preset = config["problem"]["preset"]
-    return {seed: make_problem(preset, seed, space=space, **overrides) for seed in seeds}
-
-
-def _scheduler_factory(
-    kind: str, params: dict, space: SearchSpace
-) -> Callable[[RunningHistory], TrialScheduler]:
-    """An arm's scheduler factory; keys absent from ``params`` keep the config defaults."""
-    if kind == "ace":
-        enums = {"stopping_mode": StoppingMode, "interval_mode": IntervalMode}
-        config = AceConfig(**{k: enums[k](v) if k in enums else v for k, v in params.items()})
-        return lambda history: AceScheduler(config, history)
-    if kind in ("asha", "asha_callback"):
-        config = AshaConfig(**{"max_time_units": space.max_iterations, **params})
-        if kind == "asha":
-            return lambda history: AshaScheduler(config, history)
-        return lambda history: ConstraintCallback(AshaScheduler(config, history))
-    if kind == "no_stopping":
-        return lambda history: NoStoppingScheduler(history)
-    raise ValueError(f"unknown scheduler kind {kind!r}")
+    _object(config, "", _CONFIG_KEYS, _REQUIRED_KEYS)
+    if not _value(float, config["budget"], "budget") > 0:
+        raise _error("budget", f"{config['budget']!r} is not > 0")
+    if _value(int, config["max_concurrent"], "max_concurrent") < 1:
+        raise _error("max_concurrent", f"{config['max_concurrent']!r} is not >= 1")
+    _seeds(config["seeds"], "seeds")
+    if "output_dir" in config and not _value(str, config["output_dir"], "output_dir"):
+        raise _error("output_dir", "must not be empty")
+    space = _problem(config)[2]
+    arms = config["arms"]
+    if not isinstance(arms, list) or not arms:
+        raise _error("arms", f"expected a non-empty array, got {arms!r}")
+    names = set()
+    for i, arm in enumerate(arms):
+        at = f"arms/{i}"
+        _object(arm, at, ("name", "scheduler", "params"), ("name", "scheduler"))
+        name, kind = arm["name"], arm["scheduler"]
+        if not (isinstance(name, str) and _ARM_NAME.fullmatch(name)):
+            raise _error(f"{at}/name", f"{name!r} does not match {_ARM_NAME.pattern}")
+        if name in names:
+            raise _error(f"{at}/name", f"duplicate arm name {name!r}")
+        names.add(name)
+        if kind not in SCHEDULER_KINDS:
+            raise _error(f"{at}/scheduler", f"{kind!r} is not one of {SCHEDULER_KINDS}")
+        _scheduler_factory(kind, arm.get("params", {}), space, f"{at}/params")
+    return config
 
 
 def _fmt(value: Any) -> str:
@@ -392,23 +376,24 @@ def _plus_minus(mean: float | None, std: float | None) -> str:
 
 def cmd_run(args: argparse.Namespace) -> int:
     config = load_config(args.config)
-    seeds = list(args.seed) if args.seed else list(config["seeds"])
+    seeds = _seeds(args.seed, "--seed") if args.seed else config["seeds"]
+    preset, overrides, space = _problem(config)
     out_dir = _resolve_output_dir(args.output_dir, config)
     out_dir.mkdir(parents=True, exist_ok=True)
     budget = float(config["budget"])
     max_concurrent = int(config["max_concurrent"])
 
-    problems = _build_problems(config, seeds)
+    # One calibrated problem per seed, shared by every arm (a problem is never mutated).
+    problems = {seed: make_problem(preset, seed, **overrides) for seed in seeds}
     summary_rows: list[tuple] = []
     arm_summaries: list[dict] = []
     for arm in config["arms"]:
         name = arm["name"]
         params = arm.get("params", {})
+        factory = _scheduler_factory(arm["scheduler"], params, space)
         per_seed: list[dict] = []
         for seed in seeds:
-            problem = problems[seed]
-            factory = _scheduler_factory(arm["scheduler"], params, problem.space)
-            result = run_experiment(problem, factory, budget, max_concurrent, seed)
+            result = run_experiment(problems[seed], factory, budget, max_concurrent, seed)
             _write_run_files(out_dir, name, seed, result)
             record = _per_seed_record(seed, result)
             per_seed.append(record)
@@ -446,9 +431,11 @@ def cmd_run(args: argparse.Namespace) -> int:
             f"{_plus_minus(agg['total_trials_mean'], agg['total_trials_std']):<22} "
             f"{success}"
         )
+    table = "\n".join(lines) + "\n"
     with open(out_dir / "summary.txt", "w", encoding="utf-8", newline="") as handle:
-        handle.write("\n".join(lines) + "\n")
-    print(f"wrote {len(summary_rows)} runs to {out_dir}")
+        handle.write(table)
+    print(f"wrote {len(summary_rows)} runs to {out_dir}\n")
+    print(table, end="")
     return 0
 
 
@@ -491,27 +478,24 @@ def cmd_cost_curve(args: argparse.Namespace) -> int:
 
 def cmd_truncation_sweep(args: argparse.Namespace) -> int:
     config = load_config(args.config)
-    seeds = list(args.seed) if args.seed else list(config["seeds"])
+    seeds = _seeds(args.seed, "--seed") if args.seed else config["seeds"]
+    preset, overrides, space = _problem(config)
+    percentages = args.percentage or [0.03, 0.13, 0.25, 0.5, 0.75]
+    factories = [
+        _scheduler_factory("ace", {"truncation_percentage": pct}, space, "--percentage")
+        for pct in percentages
+    ]
     out_dir = _resolve_output_dir(args.output_dir, config)
     out_dir.mkdir(parents=True, exist_ok=True)
     budget = float(config["budget"])
     max_concurrent = int(config["max_concurrent"])
-    percentages = list(args.percentage) if args.percentage else [0.03, 0.13, 0.25, 0.5, 0.75]
-    for pct in percentages:
-        if not 0.0 < pct < 1.0:
-            print(f"truncation percentage {pct} outside (0, 1)", file=sys.stderr)
-            return 2
 
-    problems = _build_problems(config, seeds)
+    problems = {seed: make_problem(preset, seed, **overrides) for seed in seeds}
     rows = []
-    for pct in percentages:
+    for pct, factory in zip(percentages, factories):
         scores, trials = [], []
         for seed in seeds:
-            problem = problems[seed]
-            factory = _scheduler_factory(
-                "ace", {"truncation_percentage": pct}, problem.space
-            )
-            result = run_experiment(problem, factory, budget, max_concurrent, seed)
+            result = run_experiment(problems[seed], factory, budget, max_concurrent, seed)
             trials.append(result.total_trials)
             if result.feasible_found:
                 scores.append(result.best_feasible_score)

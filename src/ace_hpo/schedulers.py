@@ -86,7 +86,9 @@ class AceConfig:
 
     def __post_init__(self) -> None:
         if not 0.0 < self.truncation_percentage < 1.0:
-            raise ValueError("truncation_percentage must be in (0, 1)")
+            raise ValueError(
+                f"truncation_percentage must be in (0, 1), got {self.truncation_percentage!r}"
+            )
 
 
 def _bootstrap(history: RunningHistory, at_final_iteration: bool) -> bool:

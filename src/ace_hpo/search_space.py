@@ -69,7 +69,7 @@ class ParamSpec:
         if self.kind is ParamKind.LOG_UNIFORM_INT:
             return True
         return self.kind is ParamKind.CHOICE and all(
-            isinstance(c, int) and c >= 1 for c in self.choices
+            type(c) is int and c >= 1 for c in self.choices
         )
 
 
@@ -85,7 +85,7 @@ class SearchSpace:
             raise ValueError("parameter names must be unique")
         axes = [p for p in self.params if p.iteration_axis]
         if len(axes) != 1:
-            raise ValueError("exactly one parameter must be the iteration axis")
+            raise ValueError(f"exactly one parameter must set iteration_axis, not {len(axes)}")
 
     @property
     def iteration_axis(self) -> ParamSpec:

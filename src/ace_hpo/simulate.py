@@ -44,6 +44,7 @@ __all__ = [
     "LandscapeTerm",
     "ProblemSpec",
     "SyntheticProblem",
+    "problem_spec",
     "make_problem",
     "PRESET_NAMES",
     "RunResult",
@@ -403,22 +404,18 @@ _PRESET_BUILDERS: dict[str, Callable[[], ProblemSpec]] = {
 PRESET_NAMES = tuple(sorted(_PRESET_BUILDERS))
 
 
-def make_problem(
-    preset: str,
-    problem_seed: int,
-    space: SearchSpace | None = None,
-    **overrides: object,
-) -> SyntheticProblem:
-    """Build a preset problem, optionally overriding its space or scalar fields."""
+def problem_spec(preset: str, **overrides: object) -> ProblemSpec:
+    """A preset's spec with any of its fields (the space included) overridden."""
     try:
         spec = _PRESET_BUILDERS[preset]()
     except KeyError:
         raise ValueError(f"unknown preset {preset!r}; expected one of {PRESET_NAMES}") from None
-    if space is not None:
-        spec = replace(spec, space=space)
-    if overrides:
-        spec = replace(spec, **overrides)  # type: ignore[arg-type]
-    return SyntheticProblem(spec, problem_seed)
+    return replace(spec, **overrides) if overrides else spec  # type: ignore[arg-type]
+
+
+def make_problem(preset: str, problem_seed: int, **overrides: object) -> SyntheticProblem:
+    """Build a preset problem (overrides as in :func:`problem_spec`) and calibrate it."""
+    return SyntheticProblem(problem_spec(preset, **overrides), problem_seed)
 
 
 STATUS_COMPLETED = "completed"

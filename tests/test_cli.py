@@ -1,8 +1,11 @@
 """End-to-end tests for the command-line interface."""
 
+import copy
 import csv
+import functools
 import hashlib
 import json
+import operator
 import os
 import statistics
 import subprocess
@@ -10,6 +13,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ace_hpo.cli import ConfigError, _build_space, _scheduler_factory, load_config, main
 from ace_hpo.history import ConstraintSpec, RunningHistory
@@ -37,6 +42,17 @@ def write_config(path, **overrides):
 def read_csv(path):
     with open(path, encoding="utf-8", newline="") as handle:
         return list(csv.DictReader(handle))
+
+
+def _arm(scheduler, **params):
+    return {"name": scheduler, "scheduler": scheduler, "params": params}
+
+
+def _overrides(**overrides):
+    return {"problem": {"preset": "fairness-like", "overrides": overrides}}
+
+
+_AXIS = {"name": "steps", "kind": "log_uniform_int", "low": 1, "high": 8, "iteration_axis": True}
 
 
 class TestConfigValidation:
@@ -106,6 +122,146 @@ class TestConfigValidation:
         assert code == 2
         assert "absent.json" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "changes, key",
+        [
+            ({"budget": True}, "budget"),
+            ({"arms": [_arm("ace", low_overhead_gate="no")]}, "low_overhead_gate"),
+            ({"max_concurrent": 2.5}, "max_concurrent"),
+            ({"seeds": [-1]}, "seeds"),
+            ({"arms": []}, "arms"),
+            ({"arms": [{"name": "../x", "scheduler": "ace"}]}, "name"),
+            (_overrides(name="x"), "'name'"),
+            ({"space": {"params": [{"name": "x", "kind": "gaussian"}]}}, "kind"),
+            ({"problem": {"preset": "mnist"}}, "preset"),
+            (_overrides(quality_terms=[{"param": "learning_rate", "center": 0.5}]), "weight"),
+            ({"arms": [{"name": "ace", "scheduler": "ace", "params": []}]}, "params"),
+            # Typed correctly, but rejected by the config classes themselves.
+            ({"arms": [_arm("asha", max_time_units=1, grace_period=2)]}, "max_time_units"),
+            (_overrides(feasible_fraction=1.5), "feasible_fraction"),
+            (_overrides(rate_param="nope"), "rate_param"),
+            ({"space": {"params": [_AXIS, dict(_AXIS, name="epochs")]}}, "iteration_axis"),
+            ({"space": {"params": [dict(_AXIS, kind="choice", choices=[True, 4])]}}, "steps"),
+            ({"seeds": [1.0]}, "seeds"),
+            # Each arm and seed names output files and counts once in the aggregates.
+            ({"arms": [_arm("ace"), _arm("ace")]}, "duplicate"),
+            ({"seeds": [0, 0]}, "duplicate"),
+        ],
+    )
+    def test_rejected_before_any_output(self, tmp_path, capsys, changes, key):
+        path = tmp_path / "config.json"
+        write_config(path, output_dir=str(tmp_path / "out"), **changes)
+        assert main(["run", str(path)]) == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("seeds", [["-1"], ["0", "0"]])
+    def test_seed_flag_checked_like_config_seeds(self, tmp_path, capsys, seeds):
+        path = tmp_path / "config.json"
+        write_config(path, output_dir=str(tmp_path / "out"))
+        seed_args = [arg for seed in seeds for arg in ("--seed", seed)]
+        assert main(["run", str(path), *seed_args]) == 2
+        assert "--seed" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+# Every section and every field type, so that a substitution can reach each check.
+_FULL_CONFIG = {
+    "problem": {
+        "preset": "fairness-like",
+        "overrides": {
+            "feasible_fraction": 0.2,
+            "maximize": True,
+            "rate_param": "learning_rate",
+            "quality_terms": [{"param": "learning_rate", "center": 0.5, "weight": 2}],
+        },
+    },
+    "space": {
+        "params": [
+            {"name": "learning_rate", "kind": "log_uniform_real", "low": 1e-4, "high": 0.1},
+            {"name": "regularization", "kind": "uniform_real", "low": 0, "high": 1},
+            {"name": "width", "kind": "choice", "choices": [32, 64]},
+            _AXIS,
+        ]
+    },
+    "budget": 100.0,
+    "max_concurrent": 2,
+    "seeds": [0, 1],
+    "output_dir": "out",
+    "arms": [
+        _arm("ace", truncation_percentage=0.3, low_overhead_gate=False,
+             stopping_mode="hard", interval_mode="fixed_1"),
+        _arm("asha_callback", max_time_units=8, reduction_factor=2, grace_period=1,
+             stratum_mode=True, constraint_interval_fixed=False),
+        {"name": "none", "scheduler": "no_stopping"},
+    ],
+}
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _paths(value, path=()):
+    yield path
+    if isinstance(value, dict):
+        children = value.items()
+    elif isinstance(value, list):
+        children = enumerate(value)
+    else:
+        children = ()
+    for key, child in children:
+        yield from _paths(child, (*path, key))
+
+
+def test_full_config_loads(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(_FULL_CONFIG), encoding="utf-8")
+    assert load_config(path) == _FULL_CONFIG
+
+
+@settings(
+    max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(data=st.data())
+def test_loader_raises_only_config_error(tmp_path, data):
+    """Any JSON value at any path of a valid config loads or raises ConfigError."""
+    config = copy.deepcopy(_FULL_CONFIG)
+    where = data.draw(st.sampled_from(list(_paths(config))))
+    value = data.draw(_JSON)
+    if where:
+        functools.reduce(operator.getitem, where[:-1], config)[where[-1]] = value
+    else:
+        config = value
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    try:
+        load_config(path)
+    except ConfigError:
+        pass
+
+
+def test_loading_a_config_imports_no_schema_library():
+    code = (
+        "import sys\n"
+        "from ace_hpo.cli import load_config\n"
+        "load_config(sys.argv[1])\n"
+        "assert 'jsonschema' not in sys.modules\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p
+    )
+    config = REPO / "configs" / "ordering_experiment.json"
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(config)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+
 
 class TestRunCommand:
     def test_writes_expected_files(self, tmp_path):
@@ -121,6 +277,13 @@ class TestRunCommand:
         assert (out / "nostop_summary.json").exists()
         assert (out / "summary.csv").exists()
         assert (out / "summary.txt").exists()
+
+    def test_prints_the_summary_table(self, tmp_path, capsys):
+        config_path = tmp_path / "config.json"
+        write_config(config_path, seeds=[0], output_dir=str(tmp_path / "out"))
+        assert main(["run", str(config_path)]) == 0
+        table = (tmp_path / "out" / "summary.txt").read_text(encoding="utf-8")
+        assert table in capsys.readouterr().out
 
     def test_rerun_is_byte_identical(self, tmp_path):
         config_path = tmp_path / "config.json"
@@ -419,6 +582,14 @@ class TestTruncationSweepCommand:
         code = main(["truncation-sweep", str(config_path), "--percentage", "1.5"])
         assert code == 2
         assert "1.5" in capsys.readouterr().err
+
+    def test_percentage_checked_before_any_output(self, tmp_path, capsys):
+        config_path = tmp_path / "config.json"
+        write_config(config_path, output_dir=str(tmp_path / "out"))
+        code = main(["truncation-sweep", str(config_path), "--percentage", "0"])
+        assert code == 2
+        assert "--percentage" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestValidateTheoremCommand:
