@@ -53,6 +53,7 @@ from .simulate import (
     PRESET_NAMES,
     ProblemSpec,
     RunResult,
+    SyntheticProblem,
     make_problem,
     problem_spec,
     run_experiment,
@@ -164,10 +165,6 @@ def _seeds(seeds: Any, path: str) -> list[int]:
     return seeds
 
 
-def _build_space(space_cfg: Any) -> SearchSpace:
-    return _build(SearchSpace, space_cfg, "space")
-
-
 def _problem(config: dict) -> tuple[str, dict, SearchSpace]:
     """A config's preset, its typed ``make_problem`` overrides and its search space.
 
@@ -179,10 +176,10 @@ def _problem(config: dict) -> tuple[str, dict, SearchSpace]:
         raise _error("problem/preset", f"unknown preset {preset!r}; expected one of {PRESET_NAMES}")
     overrides = _build(
         ProblemSpec, problem.get("overrides", {}), "problem/overrides",
-        make=dict, fixed=("name", "space"),
+        make=dict, fixed=("space",),
     )
     if "space" in config:
-        overrides["space"] = _build_space(config["space"])
+        overrides["space"] = _build(SearchSpace, config["space"], "space")
     try:
         spec = problem_spec(preset, **overrides)
     except ValueError as exc:
@@ -317,7 +314,7 @@ def _write_run_files(out_dir: Path, arm: str, seed: int, result: RunResult) -> N
                 row.trial_id, row.max_iterations, row.interval,
                 row.best_opt, row.best_iteration, row.status,
             )
-            for row in result.trial_rows
+            for row in result.history.trials
         ],
     )
 
@@ -374,17 +371,24 @@ def _plus_minus(mean: float | None, std: float | None) -> str:
     return f"{mean:.6g} ± {std:.6g}"
 
 
-def cmd_run(args: argparse.Namespace) -> int:
+def _set_up(
+    args: argparse.Namespace,
+) -> tuple[dict, SearchSpace, Path, dict[int, SyntheticProblem], float, int]:
+    """Set-up shared by ``run`` and ``truncation-sweep``: the checked config, its
+    space, the created output directory, one calibrated problem per seed
+    (``--seed`` wins; every arm shares it, nothing mutates it), the budget
+    and ``max_concurrent``."""
     config = load_config(args.config)
     seeds = _seeds(args.seed, "--seed") if args.seed else config["seeds"]
     preset, overrides, space = _problem(config)
     out_dir = _resolve_output_dir(args.output_dir, config)
     out_dir.mkdir(parents=True, exist_ok=True)
-    budget = float(config["budget"])
-    max_concurrent = int(config["max_concurrent"])
-
-    # One calibrated problem per seed, shared by every arm (a problem is never mutated).
     problems = {seed: make_problem(preset, seed, **overrides) for seed in seeds}
+    return config, space, out_dir, problems, float(config["budget"]), int(config["max_concurrent"])
+
+
+def cmd_run(args: argparse.Namespace) -> int:
+    config, space, out_dir, problems, budget, max_concurrent = _set_up(args)
     summary_rows: list[tuple] = []
     arm_summaries: list[dict] = []
     for arm in config["arms"]:
@@ -392,7 +396,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         params = arm.get("params", {})
         factory = _scheduler_factory(arm["scheduler"], params, space)
         per_seed: list[dict] = []
-        for seed in seeds:
+        for seed in problems:
             result = run_experiment(problems[seed], factory, budget, max_concurrent, seed)
             _write_run_files(out_dir, name, seed, result)
             record = _per_seed_record(seed, result)
@@ -416,7 +420,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     _write_csv(out_dir / "summary.csv", SUMMARY_HEADER, summary_rows)
     lines = [
         f"problem: {config['problem']['preset']}  budget: {_fmt(budget)}  "
-        f"max_concurrent: {max_concurrent}  seeds: {seeds}",
+        f"max_concurrent: {max_concurrent}  seeds: {list(problems)}",
         "",
         f"{'arm':<16} {'best_feasible_score':<26} {'time_to_best':<26} "
         f"{'total_trials':<22} success",
@@ -441,6 +445,13 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 _CURVE_ITERATIONS = (2, 4, 8, 16, 32, 64, 128, 256)
 _CURVE_RATIOS = tuple(2.0**k for k in range(-4, 11))
+# The flag behind each CostParams field a cost-curve row varies; a CostParams
+# message starts with the name of the field it rejects.
+_COST_CURVE_FLAGS = {
+    "stop_probability": "--stop-probability",
+    "constraint_cost_per_eval": "--ratio",
+    "max_iterations": "--iterations",
+}
 
 
 def cmd_cost_curve(args: argparse.Namespace) -> int:
@@ -459,6 +470,10 @@ def cmd_cost_curve(args: argparse.Namespace) -> int:
         sweeps += [(r, 16) for r in _CURVE_RATIOS]
     rows = []
     for ratio, max_iterations in sweeps:
+        try:
+            CostParams(1.0, ratio, p, max_iterations, 1)
+        except ValueError as exc:
+            raise _error(_COST_CURVE_FLAGS[str(exc).split()[0]], str(exc)) from None
         for interval in range(1, max_iterations + 1):
             cost = expected_cost_closed(
                 CostParams(1.0, ratio, p, max_iterations, interval)
@@ -477,31 +492,18 @@ def cmd_cost_curve(args: argparse.Namespace) -> int:
 
 
 def cmd_truncation_sweep(args: argparse.Namespace) -> int:
-    config = load_config(args.config)
-    seeds = _seeds(args.seed, "--seed") if args.seed else config["seeds"]
-    preset, overrides, space = _problem(config)
     percentages = args.percentage or [0.03, 0.13, 0.25, 0.5, 0.75]
-    factories = [
-        _scheduler_factory("ace", {"truncation_percentage": pct}, space, "--percentage")
-        for pct in percentages
-    ]
-    out_dir = _resolve_output_dir(args.output_dir, config)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    budget = float(config["budget"])
-    max_concurrent = int(config["max_concurrent"])
-
-    problems = {seed: make_problem(preset, seed, **overrides) for seed in seeds}
+    aces = [_build(AceConfig, {"truncation_percentage": p}, "--percentage") for p in percentages]
+    _, _, out_dir, problems, budget, max_concurrent = _set_up(args)
     rows = []
-    for pct, factory in zip(percentages, factories):
-        scores, trials = [], []
-        for seed in seeds:
+    for pct, ace in zip(percentages, aces):
+        factory = functools.partial(AceScheduler, ace)
+        per_seed = []
+        for seed in problems:
             result = run_experiment(problems[seed], factory, budget, max_concurrent, seed)
-            trials.append(result.total_trials)
-            if result.feasible_found:
-                scores.append(result.best_feasible_score)
-        mean_score = statistics.fmean(scores) if scores else None
-        mean_trials = statistics.fmean([float(t) for t in trials])
-        rows.append((pct, mean_score, mean_trials))
+            per_seed.append(_per_seed_record(seed, result))
+        aggregate = _aggregate(per_seed)
+        rows.append((pct, aggregate["best_feasible_score_mean"], aggregate["total_trials_mean"]))
     _write_csv(
         out_dir / "truncation_sweep.csv",
         ("truncation_percentage", "mean_best_feasible_score", "mean_total_trials"),
@@ -512,8 +514,15 @@ def cmd_truncation_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_validate_theorem(args: argparse.Namespace) -> int:
-    endpoint = endpoint_optimality_sweep(cases=args.cases, seed=args.seed)
-    closed = closed_form_equivalence_sweep(cases=args.equivalence_cases, seed=args.seed)
+    seed = _seeds([args.seed], "--seed")[0]
+    try:
+        endpoint = endpoint_optimality_sweep(cases=args.cases, seed=seed)
+    except ValueError as exc:
+        raise _error("--cases", str(exc)) from None
+    try:
+        closed = closed_form_equivalence_sweep(cases=args.equivalence_cases, seed=seed)
+    except ValueError as exc:
+        raise _error("--equivalence-cases", str(exc)) from None
     print(
         f"endpoint optimality: {endpoint.cases} cases, "
         f"{endpoint.endpoint_failures} endpoint failures, "

@@ -13,6 +13,7 @@ per-iteration training cost).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 __all__ = [
@@ -41,10 +42,10 @@ class CostParams:
     interval: int
 
     def __post_init__(self) -> None:
-        if not self.primary_cost_per_iter > 0:
-            raise ValueError("primary_cost_per_iter must be positive")
-        if self.constraint_cost_per_eval < 0:
-            raise ValueError("constraint_cost_per_eval must be nonnegative")
+        if not 0.0 < self.primary_cost_per_iter < math.inf:
+            raise ValueError("primary_cost_per_iter must be positive and finite")
+        if not 0.0 <= self.constraint_cost_per_eval < math.inf:
+            raise ValueError("constraint_cost_per_eval must be nonnegative and finite")
         if not 0.0 < self.stop_probability <= 1.0:
             raise ValueError("stop_probability must be in (0, 1]")
         if self.max_iterations < 1:

@@ -37,7 +37,6 @@ from typing import Callable
 from .cost_model import choose_interval
 from .history import (
     CheckpointRecord,
-    ConstraintSpec,
     Group,
     RunningHistory,
     _stratum_key,
@@ -152,10 +151,6 @@ class TrialScheduler:
     def __init__(self, history: RunningHistory):
         self.history = history
 
-    @property
-    def constraint(self) -> ConstraintSpec:
-        return self.history.constraint
-
     def on_trial_start(self, trial_id: int, max_iterations: int) -> int | None:
         """Create the trial's history row; return its evaluation interval, if any."""
         interval = self.interval_for(max_iterations)
@@ -194,7 +189,7 @@ class TrialScheduler:
         """
         want = self.wants_constraint(trial_id, iteration, max_iterations, opt_metric)
         value = evaluate() if want else None
-        record = self.constraint.classify(trial_id, iteration, opt_metric, value)
+        record = self.history.constraint.classify(trial_id, iteration, opt_metric, value)
         self.history.record_checkpoint(record)
         action, record.rank, record.group_size = self.decide(
             trial_id, iteration, max_iterations, record
@@ -263,6 +258,11 @@ class AshaConfig:
             raise ValueError("grace_period must be >= 1")
         if self.max_time_units < self.grace_period:
             raise ValueError("max_time_units must be >= grace_period")
+        if not (self.stratum_mode or self.constraint_interval_fixed):
+            raise ValueError(
+                "constraint_interval_fixed=False needs stratum_mode=True: "
+                "only stratum mode evaluates the constraint"
+            )
 
     @property
     def rungs(self) -> tuple[int, ...]:
@@ -305,7 +305,7 @@ class AshaScheduler(TrialScheduler):
         final iteration. The per-check stop fraction of a halving rung is
         1 - 1/eta. Other modes have no interval schedule.
         """
-        if not self.config.stratum_mode or self.config.constraint_interval_fixed:
+        if self.config.constraint_interval_fixed:
             return None
         ratio = self.history.ledger.cost_ratio()
         if ratio is None:
@@ -387,8 +387,6 @@ class ConstraintCallback(TrialScheduler):
 
 @dataclass(frozen=True)
 class ScanResult:
-    feasible_trial_id: int | None
-    feasible_opt_metric: float | None
     evaluations: int
 
 
@@ -404,6 +402,11 @@ def post_hoc_feasibility_scan(
     candidate's best checkpoint, best candidate first, until one proves
     feasible; every evaluation is recorded into the history. ``evaluate``
     performs (and charges) one evaluation and returns the constraint value.
+
+    Returns the number of evaluations; the history carries the rest. The
+    scan's records are the last ``evaluations`` of ``history.records``. A
+    feasible candidate is the last of them, VALID, and moves the incumbent
+    like any valid record.
     """
     evaluations = 0
     for trial_id, iteration, opt_metric in candidates:
@@ -412,5 +415,5 @@ def post_hoc_feasibility_scan(
         record = history.constraint.classify(trial_id, iteration, opt_metric, value)
         history.record_checkpoint(record)
         if record.group is Group.VALID:
-            return ScanResult(trial_id, opt_metric, evaluations)
-    return ScanResult(None, None, evaluations)
+            break
+    return ScanResult(evaluations)

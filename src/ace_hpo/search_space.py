@@ -21,7 +21,6 @@ __all__ = [
     "SearchSpace",
     "Configuration",
     "sample",
-    "sequence_for_seed",
 ]
 
 
@@ -135,7 +134,3 @@ def sample(space: SearchSpace, seed: int, trial_index: int = 0) -> Configuration
     for j, spec in enumerate(space.params):
         values[spec.name] = _sample_param(spec, _param_rng(seed, trial_index, j))
     return Configuration(values, int(values[space.iteration_axis.name]))
-
-
-def sequence_for_seed(space: SearchSpace, seed: int, count: int) -> list[Configuration]:
-    return [sample(space, seed, i) for i in range(count)]

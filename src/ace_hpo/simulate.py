@@ -181,7 +181,6 @@ class ProblemSpec:
     where the constraint is hard to satisfy.
     """
 
-    name: str
     space: SearchSpace
     quality_terms: tuple[LandscapeTerm, ...]
     feasibility_terms: tuple[LandscapeTerm, ...]
@@ -238,10 +237,6 @@ class SyntheticProblem:
     @property
     def space(self) -> SearchSpace:
         return self.spec.space
-
-    @property
-    def maximize(self) -> bool:
-        return self.spec.maximize
 
     def reported(self, internal: float) -> float:
         """Map an internally-minimized metric back to its reporting orientation."""
@@ -318,7 +313,6 @@ def _fairness_like_spec() -> ProblemSpec:
         )
     )
     return ProblemSpec(
-        name="fairness-like",
         space=space,
         quality_terms=(
             LandscapeTerm("learning_rate", 0.55, 6.0),
@@ -364,7 +358,6 @@ def _robustness_like_spec() -> ProblemSpec:
         )
     )
     return ProblemSpec(
-        name="robustness-like",
         space=space,
         quality_terms=(
             LandscapeTerm("learning_rate", 0.60, 5.0),
@@ -430,7 +423,10 @@ class RunResult:
     Per-checkpoint data lives only in ``history.records``, one record per
     training-loop checkpoint followed by one per post-hoc scan evaluation;
     per-trial data only in ``history.trials``, in trial-id order. Everything
-    else is derived from those rows, the ledger and the incumbent.
+    else is derived from those rows, the ledger and the incumbent. The
+    properties are the summary columns; any other fact is read from its
+    home: cost totals by kind from ``history.ledger``, the internally
+    minimized incumbent from ``history.best_feasible_score``.
     """
 
     problem: SyntheticProblem
@@ -439,19 +435,15 @@ class RunResult:
     history: RunningHistory
 
     @property
-    def trial_rows(self) -> list[TrialSnapshot]:
-        return self.history.trials
-
-    @property
     def time_to_best(self) -> float | None:
         return self.history.best_feasible_time
 
     def _count(self, predicate: Callable[[TrialSnapshot], bool]) -> int:
-        return sum(1 for r in self.trial_rows if predicate(r))
+        return sum(1 for r in self.history.trials if predicate(r))
 
     @property
     def total_trials(self) -> int:
-        return len(self.trial_rows)
+        return len(self.history.trials)
 
     @property
     def completed_trials(self) -> int:
@@ -482,25 +474,14 @@ class RunResult:
         return math.isfinite(self.history.best_feasible_score)
 
     @property
-    def best_feasible_internal(self) -> float | None:
-        return self.history.best_feasible_score if self.feasible_found else None
-
-    @property
     def best_feasible_score(self) -> float | None:
-        internal = self.best_feasible_internal
-        return None if internal is None else self.problem.reported(internal)
+        if not self.feasible_found:
+            return None
+        return self.problem.reported(self.history.best_feasible_score)
 
     @property
     def total_cost(self) -> float:
         return self.history.ledger.total_cost
-
-    @property
-    def primary_cost_total(self) -> float:
-        return self.history.ledger.total_primary_cost
-
-    @property
-    def constraint_cost_total(self) -> float:
-        return self.history.ledger.total_constraint_cost
 
     @property
     def primary_iterations(self) -> int:
@@ -512,16 +493,18 @@ class RunResult:
 
 
 @dataclass
-class _ActiveTrial:
-    trial_id: int
-    curve: TrialCurve
-    iteration: int = 0
-
-
-@dataclass
 class _Slot:
+    """One concurrent worker: its virtual time and the trial it is running.
+
+    ``trial_id`` is None while the slot is idle; ``curve`` and ``iteration``
+    (iterations done so far) describe the running trial and are meaningful
+    only while ``trial_id`` is set.
+    """
+
     virtual_time: float = 0.0
-    trial: _ActiveTrial | None = None
+    trial_id: int | None = None
+    curve: TrialCurve | None = None
+    iteration: int = 0
 
 
 def run_experiment(
@@ -551,15 +534,16 @@ def run_experiment(
 
     curves: dict[int, TrialCurve] = {}
 
-    def start_trial() -> _ActiveTrial:
+    def start_trial(slot: _Slot) -> None:
         trial_id = len(curves)
         config = sample(problem.space, seed, trial_id)
-        curve = curves[trial_id] = problem.curve_for(config)
+        slot.curve = curves[trial_id] = problem.curve_for(config)
+        slot.trial_id, slot.iteration = trial_id, 0
         scheduler.on_trial_start(trial_id, config.max_iterations)
-        return _ActiveTrial(trial_id, curve)
 
-    def finish_trial(trial: _ActiveTrial, status: str) -> None:
-        history.trial_snapshot(trial.trial_id).status = status
+    def finish_trial(slot: _Slot, status: str) -> None:
+        history.trial_snapshot(slot.trial_id).status = status
+        slot.trial_id = None
 
     heap: list[tuple[float, int, _Slot]] = []
     seq = 0
@@ -570,32 +554,27 @@ def run_experiment(
     while heap:
         _, _, slot = heapq.heappop(heap)
         if meter.clock >= budget:
-            if slot.trial is not None:
-                finish_trial(slot.trial, STATUS_BUDGET_TRUNCATED)
-                slot.trial = None
+            if slot.trial_id is not None:
+                finish_trial(slot, STATUS_BUDGET_TRUNCATED)
             continue
-        if slot.trial is None:
-            slot.trial = start_trial()
-        trial = slot.trial
-        trial.iteration += 1
-        t = trial.iteration
-        curve = trial.curve
+        if slot.trial_id is None:
+            start_trial(slot)
+        slot.iteration += 1
+        trial_id, t, curve = slot.trial_id, slot.iteration, slot.curve
 
-        opt = eval_opt_metric(curve, t, problem.problem_seed, trial.trial_id, meter)
+        opt = eval_opt_metric(curve, t, problem.problem_seed, trial_id, meter)
         slot.virtual_time += curve.primary_cost
 
-        def evaluate(trial=trial, t=t, curve=curve, slot=slot) -> float:
-            value = eval_constraint_metric(curve, t, problem.problem_seed, trial.trial_id, meter)
+        def evaluate(trial_id=trial_id, t=t, curve=curve, slot=slot) -> float:
+            value = eval_constraint_metric(curve, t, problem.problem_seed, trial_id, meter)
             slot.virtual_time += curve.constraint_cost
             return value
 
-        record = scheduler.step(trial.trial_id, t, curve.max_iterations, opt, evaluate)
+        record = scheduler.step(trial_id, t, curve.max_iterations, opt, evaluate)
         if t >= curve.max_iterations:
-            finish_trial(trial, STATUS_COMPLETED)
-            slot.trial = None
+            finish_trial(slot, STATUS_COMPLETED)
         elif record.action is Action.STOP:
-            finish_trial(trial, STATUS_STOPPED)
-            slot.trial = None
+            finish_trial(slot, STATUS_STOPPED)
         heapq.heappush(heap, (slot.virtual_time, seq, slot))
         seq += 1
 

@@ -74,7 +74,7 @@ def endpoint_optimality_sweep(cases: int = 10_000, seed: int = 0) -> EndpointSwe
     within ``NEAR_THRESHOLD_RTOL`` of the crossover threshold.
     """
     if cases < 1:
-        raise ValueError("cases must be positive")
+        raise ValueError(f"cases must be positive, got {cases!r}")
     rng = np.random.default_rng(seed)
     endpoint_failures = 0
     chooser_checked = 0
@@ -124,7 +124,7 @@ def closed_form_equivalence_sweep(cases: int = 5_000, seed: int = 0) -> ClosedFo
     pins p = 1 to cover the degenerate single-window limit.
     """
     if cases < 1:
-        raise ValueError("cases must be positive")
+        raise ValueError(f"cases must be positive, got {cases!r}")
     rng = np.random.default_rng(seed)
     failures = 0
     max_diff = 0.0

@@ -16,9 +16,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from ace_hpo.cli import ConfigError, _build_space, _scheduler_factory, load_config, main
+from ace_hpo.cli import ConfigError, _build, _scheduler_factory, load_config, main
 from ace_hpo.history import ConstraintSpec, RunningHistory
 from ace_hpo.schedulers import AceConfig, AshaConfig, IntervalMode, StoppingMode
+from ace_hpo.search_space import SearchSpace
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -146,6 +147,8 @@ class TestConfigValidation:
             # Each arm and seed names output files and counts once in the aggregates.
             ({"arms": [_arm("ace"), _arm("ace")]}, "duplicate"),
             ({"seeds": [0, 0]}, "duplicate"),
+            # Adaptive evaluation needs stratum mode: plain ASHA never evaluates.
+            ({"arms": [_arm("asha", constraint_interval_fixed=False)]}, "constraint_interval_fixed"),
         ],
     )
     def test_rejected_before_any_output(self, tmp_path, capsys, changes, key):
@@ -455,13 +458,13 @@ class TestRunCommand:
         for arm in ("asha", "asha_cb"):
             decisions = read_csv(tmp_path / "out" / f"{arm}_seed0_decisions.csv")
             assert {d["iteration"] for d in decisions if d["rank"]} <= {"1", "4", "16", "64"}
-        factory = _scheduler_factory("asha", {}, _build_space(space))
+        factory = _scheduler_factory("asha", {}, _build(SearchSpace, space, "space"))
         assert factory(RunningHistory(ConstraintSpec(0.0))).config.max_time_units == 64
 
 
 def test_scheduler_factory_defaults_are_the_config_defaults():
     epochs = {"name": "epochs", "kind": "log_uniform_int", "low": 1, "high": 27}
-    space = _build_space({"params": [dict(epochs, iteration_axis=True)]})
+    space = _build(SearchSpace, {"params": [dict(epochs, iteration_axis=True)]}, "space")
     history = RunningHistory(ConstraintSpec(0.0))
     assert _scheduler_factory("ace", {}, space)(history).config == AceConfig()
     asha = AshaConfig(max_time_units=space.max_iterations)
@@ -583,6 +586,30 @@ class TestTruncationSweepCommand:
         assert code == 2
         assert "1.5" in capsys.readouterr().err
 
+    def test_rows_equal_run_aggregates(self, tmp_path):
+        path = tmp_path / "config.json"
+        write_config(path, budget=700.0, output_dir=str(tmp_path / "sweep"))
+        sweep = ["truncation-sweep", str(path), "--percentage", "0.13", "--percentage", "0.5"]
+        assert main(sweep) == 0
+        arms = [
+            {"name": name, "scheduler": "ace", "params": {"truncation_percentage": pct}}
+            for name, pct in (("p13", 0.13), ("p50", 0.5))
+        ]
+        write_config(path, budget=700.0, output_dir=str(tmp_path / "run"), arms=arms)
+        assert main(["run", str(path)]) == 0
+        rows = read_csv(tmp_path / "sweep" / "truncation_sweep.csv")
+        assert len(rows) == 2
+        scores = []
+        for row, arm in zip(rows, ("p13", "p50")):
+            summary = json.loads((tmp_path / "run" / f"{arm}_summary.json").read_text())
+            aggregate = summary["aggregate"]
+            score = aggregate["best_feasible_score_mean"]
+            scores.append(score)
+            # An arm that found nothing in any seed has a null mean and an empty cell.
+            assert row["mean_best_feasible_score"] == ("" if score is None else format(score, ".17g"))
+            assert row["mean_total_trials"] == format(aggregate["total_trials_mean"], ".17g")
+        assert scores[0] is None and scores[1] is not None
+
     def test_percentage_checked_before_any_output(self, tmp_path, capsys):
         config_path = tmp_path / "config.json"
         write_config(config_path, output_dir=str(tmp_path / "out"))
@@ -602,3 +629,24 @@ class TestValidateTheoremCommand:
         assert "PASS" in out
         assert "300 cases" in out
         assert "200 cases" in out
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["cost-curve", "--stop-probability", "0"], "--stop-probability"),
+        (["cost-curve", "--ratio", "-1"], "--ratio"),
+        (["cost-curve", "--ratio", "nan"], "--ratio"),
+        (["cost-curve", "--ratio", "inf"], "--ratio"),
+        (["cost-curve", "--ratio", "2", "--iterations", "0"], "--iterations"),
+        (["validate-theorem", "--cases", "0"], "--cases"),
+        (["validate-theorem", "--cases", "1", "--equivalence-cases", "0"], "--equivalence-cases"),
+        (["validate-theorem", "--seed", "-1"], "--seed"),
+    ],
+)
+def test_flag_value_rejected_without_output(tmp_path, capsys, argv, flag):
+    out = tmp_path / "curve.csv"
+    extra = ["--output", str(out)] if argv[0] == "cost-curve" else []
+    assert main([*argv, *extra]) == 2
+    assert flag in capsys.readouterr().err
+    assert not out.exists()

@@ -147,6 +147,10 @@ def test_choice_invariant_to_cost_scale(p, t, scale):
     [
         dict(primary_cost_per_iter=0.0, constraint_cost_per_eval=1, stop_probability=0.5, max_iterations=4, interval=1),
         dict(primary_cost_per_iter=1.0, constraint_cost_per_eval=-1, stop_probability=0.5, max_iterations=4, interval=1),
+        dict(primary_cost_per_iter=math.inf, constraint_cost_per_eval=1, stop_probability=0.5, max_iterations=4, interval=1),
+        dict(primary_cost_per_iter=math.nan, constraint_cost_per_eval=1, stop_probability=0.5, max_iterations=4, interval=1),
+        dict(primary_cost_per_iter=1.0, constraint_cost_per_eval=math.inf, stop_probability=0.5, max_iterations=4, interval=1),
+        dict(primary_cost_per_iter=1.0, constraint_cost_per_eval=math.nan, stop_probability=0.5, max_iterations=4, interval=1),
         dict(primary_cost_per_iter=1.0, constraint_cost_per_eval=1, stop_probability=0.0, max_iterations=4, interval=1),
         dict(primary_cost_per_iter=1.0, constraint_cost_per_eval=1, stop_probability=1.5, max_iterations=4, interval=1),
         dict(primary_cost_per_iter=1.0, constraint_cost_per_eval=1, stop_probability=0.5, max_iterations=0, interval=1),

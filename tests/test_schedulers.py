@@ -355,6 +355,8 @@ class TestAsha:
             AshaConfig(max_time_units=16, reduction_factor=1)
         with pytest.raises(ValueError):
             AshaConfig(max_time_units=0)
+        with pytest.raises(ValueError, match="stratum_mode"):
+            AshaConfig(max_time_units=16, constraint_interval_fixed=False)
 
 
 class TestBaselines:
@@ -406,8 +408,8 @@ class TestPostHocScan:
         history = fresh_history()
         evaluate, calls = self.make_eval({5: 0.1})
         result = post_hoc_feasibility_scan(history, [(5, 7, 0.3)], evaluate)
-        assert result.feasible_trial_id == 5
-        assert result.feasible_opt_metric == 0.3
+        assert history.records[-1].trial_id == 5
+        assert history.records[-1].group is Group.VALID
         assert result.evaluations == 1
         assert calls == [(5, 7)]
         assert history.best_feasible_score == 0.3
@@ -417,7 +419,8 @@ class TestPostHocScan:
         evaluate, calls = self.make_eval({1: 0.9, 2: 0.8, 3: 0.2, 4: 0.1})
         candidates = [(1, 3, 0.1), (2, 9, 0.2), (3, 2, 0.3), (4, 1, 0.4)]
         result = post_hoc_feasibility_scan(history, candidates, evaluate)
-        assert result.feasible_trial_id == 3
+        assert history.records[-1].trial_id == 3
+        assert history.records[-1].group is Group.VALID
         assert result.evaluations == 3
         assert len(calls) == 3
 
@@ -425,7 +428,7 @@ class TestPostHocScan:
         history = fresh_history()
         evaluate, _ = self.make_eval({1: 0.9, 2: 0.8})
         result = post_hoc_feasibility_scan(history, [(1, 1, 0.1), (2, 1, 0.2)], evaluate)
-        assert result.feasible_trial_id is None
+        assert history.records[-1].group is not Group.VALID
         assert result.evaluations == 2
         assert history.best_feasible_score == math.inf
 

@@ -11,7 +11,6 @@ from ace_hpo.search_space import (
     ParamSpec,
     SearchSpace,
     sample,
-    sequence_for_seed,
 )
 
 
@@ -35,9 +34,10 @@ def test_sampling_is_deterministic_per_seed_and_index():
     assert sample(space, 7, 4) != a
 
 
-def test_sequence_is_prefix_stable():
+def test_sample_is_independent_of_draw_order():
     space = small_space()
-    assert sequence_for_seed(space, 11, 5) == sequence_for_seed(space, 11, 9)[:5]
+    forward = [sample(space, 11, i) for i in range(9)]
+    assert [sample(space, 11, i) for i in reversed(range(9))] == forward[::-1]
 
 
 def test_axis_sets_trial_budget():

@@ -12,7 +12,7 @@ from ace_hpo.schedulers import (
     ConstraintCallback,
     NoStoppingScheduler,
 )
-from ace_hpo.search_space import ParamKind, ParamSpec, SearchSpace, sample, sequence_for_seed
+from ace_hpo.search_space import ParamKind, ParamSpec, SearchSpace, sample
 from ace_hpo.simulate import (
     CostMeter,
     LandscapeTerm,
@@ -138,7 +138,6 @@ def fixed_length_problem(constraint_cost=0.5, iterations=4):
         )
     )
     spec = ProblemSpec(
-        name="unit-flat",
         space=space,
         quality_terms=(LandscapeTerm("x", 0.5, 2.0),),
         feasibility_terms=(LandscapeTerm("x", 0.8, 2.0),),
@@ -184,7 +183,8 @@ class TestRunExperiment:
             max_concurrent=4,
             seed=1,
         )
-        assert result.total_cost == result.primary_cost_total + result.constraint_cost_total
+        ledger = result.history.ledger
+        assert result.total_cost == ledger.total_primary_cost + ledger.total_constraint_cost
 
     def test_reruns_are_identical(self):
         problem = make_problem("fairness-like", problem_seed=3)
@@ -200,7 +200,7 @@ class TestRunExperiment:
 
         a, b = once(), once()
         assert a.history.records == b.history.records
-        assert a.trial_rows == b.trial_rows
+        assert a.history.trials == b.history.trials
         assert a.best_feasible_score == b.best_feasible_score
         assert a.time_to_best == b.time_to_best
         assert a.total_cost == b.total_cost
@@ -211,10 +211,9 @@ class TestRunExperiment:
             run_experiment(problem, NoStoppingScheduler, budget=40.0, max_concurrent=m, seed=9)
             for m in (1, 3)
         ]
-        reference = sequence_for_seed(problem.space, 9, max(r.total_trials for r in results))
         for result in results:
-            for row in result.trial_rows:
-                assert row.max_iterations == reference[row.trial_id].max_iterations
+            for row in result.history.trials:
+                assert row.max_iterations == sample(problem.space, 9, row.trial_id).max_iterations
 
     def test_mid_trial_budget_exhaustion_truncates(self):
         problem = fixed_length_problem(iterations=8)
@@ -222,7 +221,7 @@ class TestRunExperiment:
         assert result.total_trials == 2
         assert result.completed_trials == 1
         assert result.truncated_trials == 1
-        truncated = [r for r in result.trial_rows if r.status == "budget_truncated"]
+        truncated = [r for r in result.history.trials if r.status == "budget_truncated"]
         assert truncated[0].max_iterations == 8
 
     def test_gate_reduces_constraint_evaluations(self):
@@ -298,7 +297,7 @@ class TestRunExperiment:
             seed=0,
         )
         assert result.feasible_found
-        assert result.best_feasible_score == pytest.approx(-result.best_feasible_internal)
+        assert result.best_feasible_score == pytest.approx(-result.history.best_feasible_score)
         assert result.best_feasible_score > 0.4
 
     def test_interval_tally_matches_trial_rows(self):
@@ -310,10 +309,9 @@ class TestRunExperiment:
             max_concurrent=4,
             seed=7,
         )
-        every = sum(1 for r in result.trial_rows if r.interval == 1 and r.max_iterations > 1)
-        final = sum(
-            1 for r in result.trial_rows if r.interval is not None and r.interval == r.max_iterations
-        )
+        rows = result.history.trials
+        every = sum(1 for r in rows if r.interval == 1 and r.max_iterations > 1)
+        final = sum(1 for r in rows if r.interval is not None and r.interval == r.max_iterations)
         assert result.interval_every_iteration == every
         assert result.interval_final_only == final
         assert every + final == result.total_trials
@@ -358,8 +356,8 @@ class TestProblems:
     def test_preset_names(self):
         with pytest.raises(ValueError):
             make_problem("unknown-preset", 0)
-        assert make_problem("fairness-like", 0).maximize
-        assert not make_problem("robustness-like", 0).maximize
+        assert make_problem("fairness-like", 0).spec.maximize
+        assert not make_problem("robustness-like", 0).spec.maximize
 
     def test_calibration_hits_feasible_fraction(self):
         problem = make_problem("fairness-like", problem_seed=0)
@@ -376,12 +374,12 @@ class TestProblems:
 
     def test_curves_deterministic_per_config(self):
         problem = make_problem("robustness-like", problem_seed=1)
-        config = sequence_for_seed(problem.space, 0, 1)[0]
+        config = sample(problem.space, 0, 0)
         assert problem.curve_for(config) == problem.curve_for(config)
 
     def test_normalized_values_in_unit_box(self):
         problem = make_problem("robustness-like", problem_seed=1)
-        for config in sequence_for_seed(problem.space, 3, 20):
+        for config in (sample(problem.space, 3, i) for i in range(20)):
             for value in problem.normalized_values(config).values():
                 assert 0.0 <= value <= 1.0
 
