@@ -493,6 +493,8 @@ def cmd_cost_curve(args: argparse.Namespace) -> int:
 
 def cmd_truncation_sweep(args: argparse.Namespace) -> int:
     percentages = args.percentage or [0.03, 0.13, 0.25, 0.5, 0.75]
+    if len(set(percentages)) < len(percentages):
+        raise _error("--percentage", f"duplicate percentages in {percentages}")
     aces = [_build(AceConfig, {"truncation_percentage": p}, "--percentage") for p in percentages]
     _, _, out_dir, problems, budget, max_concurrent = _set_up(args)
     rows = []

@@ -32,7 +32,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
+from typing import Callable, Iterable
 
 from .cost_model import choose_interval
 from .history import (
@@ -392,7 +392,7 @@ class ScanResult:
 
 def post_hoc_feasibility_scan(
     history: RunningHistory,
-    candidates: list[tuple[int, int, float]],
+    candidates: Iterable[tuple[int, int, float]],
     evaluate: Callable[[int, int], float],
 ) -> ScanResult:
     """Certify a constraint-agnostic run's results after the budget is spent.

@@ -15,6 +15,8 @@ from typing import Any
 
 import numpy as np
 
+from .streams import generator_at, grid_states
+
 __all__ = [
     "ParamKind",
     "ParamSpec",
@@ -109,11 +111,6 @@ class Configuration:
             raise ValueError("max_iterations must be >= 1")
 
 
-def _param_rng(seed: int, trial_index: int, param_index: int) -> np.random.Generator:
-    ss = np.random.SeedSequence(seed, spawn_key=(trial_index, param_index))
-    return np.random.Generator(np.random.PCG64(ss))
-
-
 def _sample_param(spec: ParamSpec, rng: np.random.Generator) -> Any:
     if spec.kind is ParamKind.UNIFORM_REAL:
         return float(rng.uniform(spec.low, spec.high))
@@ -126,11 +123,18 @@ def _sample_param(spec: ParamSpec, rng: np.random.Generator) -> Any:
     return spec.choices[int(rng.integers(len(spec.choices)))]
 
 
+_BLOCK = 64
+
+
 def sample(space: SearchSpace, seed: int, trial_index: int = 0) -> Configuration:
-    """Draw the trial_index-th candidate for a seed, independent of any history."""
+    """Draw the trial_index-th candidate for a seed, independent of any history: parameter
+    j draws from ``PCG64(SeedSequence(seed, spawn_key=(trial_index, j)))``."""
     if trial_index < 0:
         raise ValueError("trial_index must be nonnegative")
+    offset, n = trial_index % _BLOCK, len(space.params)
+    grid = grid_states(seed, trial_index - offset, _BLOCK, 0, n)
+    states = grid[offset * n : offset * n + n].tolist()
     values: dict[str, Any] = {}
-    for j, spec in enumerate(space.params):
-        values[spec.name] = _sample_param(spec, _param_rng(seed, trial_index, j))
+    for spec, state in zip(space.params, states):
+        values[spec.name] = _sample_param(spec, generator_at(state))
     return Configuration(values, int(values[space.iteration_axis.name]))

@@ -19,7 +19,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -32,6 +32,7 @@ from .search_space import (
     SearchSpace,
     sample,
 )
+from .streams import generator_at, grid_states, seed_states
 
 __all__ = [
     "TrialCurve",
@@ -103,18 +104,50 @@ def opt_curve_value(curve: TrialCurve, t: float) -> float:
     return curve.opt_limit + (curve.opt_start - curve.opt_limit) * math.exp(-curve.opt_rate * t)
 
 
-def constraint_curve_value(curve: TrialCurve, t: float) -> float:
-    """Noise-free constraint metric at iteration t, oscillation included."""
-    level = curve.constraint_limit + (curve.constraint_start - curve.constraint_limit) * math.exp(
+def _constraint_level(curve: TrialCurve, t: float) -> float:
+    return curve.constraint_limit + (curve.constraint_start - curve.constraint_limit) * math.exp(
         -curve.constraint_rate * t
     )
+
+
+def constraint_curve_value(curve: TrialCurve, t: float) -> float:
+    """Noise-free constraint metric at iteration t, oscillation included."""
+    level = _constraint_level(curve, t)
     return level + curve.osc_amplitude * math.sin(2.0 * math.pi * t / curve.osc_period)
 
 
+def _min_constraint_value(curve: TrialCurve) -> float:
+    """The smallest constraint_curve_value over iterations 1..T, scanning from T
+    down. While the level cannot rise with t, the scan stops once level(t) -
+    amplitude exceeds the minimum so far: with monotone rounding, no earlier
+    value can be below it, so the result is exact."""
+    falling = curve.constraint_start >= curve.constraint_limit
+    best = math.inf
+    for t in range(curve.max_iterations, 0, -1):
+        if falling and _constraint_level(curve, t) - curve.osc_amplitude > best:
+            break
+        best = min(constraint_curve_value(curve, t), best)  # a tie keeps the earlier t, as min()
+    return best
+
+
+# A noise tile holds `span` iterations from `first` (a power of two below
+# _TILE_KEYS, else a multiple of it) for each of _TILE_KEYS // span trial ids.
+_TILE_KEYS = 512
+# The post-hoc scan's states for its current chunk of candidates; empty outside it.
+_scan_states: dict[tuple[int, int, int, int], list[int]] = {}
+
+
 def metric_noise(problem_seed: int, trial_id: int, iteration: int, tag: int) -> float:
-    """Standard normal draw keyed by position, independent of evaluation order."""
-    ss = np.random.SeedSequence(problem_seed, spawn_key=(trial_id, iteration, tag))
-    return float(np.random.Generator(np.random.PCG64(ss)).standard_normal())
+    """Standard normal draw keyed by position, independent of evaluation order: the first
+    draw of ``PCG64(SeedSequence(problem_seed, spawn_key=(trial_id, iteration, tag)))``."""
+    state = _scan_states.get((problem_seed, trial_id, iteration, tag)) if _scan_states else None
+    if state is None:
+        span = min(1 << max(iteration.bit_length() - 1, 0), _TILE_KEYS)
+        width, first = _TILE_KEYS // span, iteration & -span
+        offset = trial_id % width
+        tile = grid_states(problem_seed, trial_id - offset, width, first, span, (tag,))
+        state = tile[offset * span + iteration - first].tolist()
+    return float(generator_at(state).standard_normal())
 
 
 @dataclass
@@ -290,14 +323,10 @@ class SyntheticProblem:
 
     def _calibrated_threshold(self) -> float:
         probe_seed = self._PROBE_SEED_OFFSET + self.problem_seed
-        minima = []
-        for i in range(self.PROBE_COUNT):
-            config = sample(self.spec.space, probe_seed, i)
-            curve = self.curve_for(config)
-            best = min(
-                constraint_curve_value(curve, t) for t in range(1, curve.max_iterations + 1)
-            )
-            minima.append(best)
+        minima = [
+            _min_constraint_value(self.curve_for(sample(self.spec.space, probe_seed, i)))
+            for i in range(self.PROBE_COUNT)
+        ]
         return float(np.quantile(np.asarray(minima), self.spec.feasible_fraction))
 
 
@@ -507,6 +536,20 @@ class _Slot:
     iteration: int = 0
 
 
+def _pin_scan_states(
+    problem_seed: int, candidates: list[tuple[int, int, float]]
+) -> Iterator[tuple[int, int, float]]:
+    """The candidates, with each _TILE_KEYS-chunk's constraint-noise states put in
+    ``_scan_states`` as the scan reaches it: best-first order hits tiles at random."""
+    for start in range(0, len(candidates), _TILE_KEYS):
+        chunk = candidates[start : start + _TILE_KEYS]
+        keys = [(trial_id, iteration, _CONSTRAINT_TAG) for trial_id, iteration, _ in chunk]
+        _scan_states.clear()
+        states = seed_states(problem_seed, keys).tolist()
+        _scan_states.update(((problem_seed, *key), state) for key, state in zip(keys, states))
+        yield from chunk
+
+
 def run_experiment(
     problem: SyntheticProblem,
     scheduler_factory: Callable[[RunningHistory], TrialScheduler],
@@ -590,6 +633,11 @@ def run_experiment(
                 curves[trial_id], iteration, problem.problem_seed, trial_id, meter
             )
 
-        scan = post_hoc_feasibility_scan(history, candidates, scan_eval)
+        try:
+            scan = post_hoc_feasibility_scan(
+                history, _pin_scan_states(problem.problem_seed, candidates), scan_eval
+            )
+        finally:
+            _scan_states.clear()
 
     return RunResult(problem, budget, scan, history)

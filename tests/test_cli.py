@@ -618,6 +618,16 @@ class TestTruncationSweepCommand:
         assert "--percentage" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_repeated_percentage_rejected_before_any_output(self, tmp_path, capsys):
+        config_path = tmp_path / "config.json"
+        write_config(config_path, output_dir=str(tmp_path / "out"))
+        repeated = ["--percentage", "0.25", "--percentage", "0.25"]
+        assert main(["truncation-sweep", str(config_path), *repeated]) == 2
+        captured = capsys.readouterr()
+        assert "--percentage" in captured.err and "duplicate" in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
 
 class TestValidateTheoremCommand:
     def test_small_sweep_passes(self, capsys):

@@ -4,7 +4,9 @@ import importlib
 
 import pytest
 
-MODULES = ("cli", "cost_model", "history", "schedulers", "search_space", "simulate", "validate")
+MODULES = (
+    "cli", "cost_model", "history", "schedulers", "search_space", "simulate", "streams", "validate"
+)
 
 
 @pytest.mark.parametrize("module", MODULES)

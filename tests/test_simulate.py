@@ -1,6 +1,9 @@
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ace_hpo.history import ConstraintSpec, CostLedger, Group, RunningHistory
 from ace_hpo.schedulers import (
@@ -14,6 +17,7 @@ from ace_hpo.schedulers import (
 )
 from ace_hpo.search_space import ParamKind, ParamSpec, SearchSpace, sample
 from ace_hpo.simulate import (
+    PRESET_NAMES,
     CostMeter,
     LandscapeTerm,
     ProblemSpec,
@@ -27,6 +31,7 @@ from ace_hpo.simulate import (
     opt_curve_value,
     run_experiment,
 )
+from ace_hpo.simulate import _min_constraint_value
 
 
 def flat_curve(**kwargs):
@@ -396,3 +401,41 @@ class TestProblems:
             replace(base, feasible_fraction=0.0)
         with pytest.raises(ValueError):
             replace(base, rate_param="nope")
+
+
+def full_scan_minimum(curve):
+    return min(constraint_curve_value(curve, t) for t in range(1, curve.max_iterations + 1))
+
+
+class TestCalibrationCut:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        limit=st.floats(-1.0, 1.0),
+        lift=st.just(0.0) | st.floats(-0.5, 0.5),
+        rate=st.floats(1e-3, 3.0),
+        amplitude=st.just(0.0) | st.floats(0.0, 0.4),
+        period=st.floats(0.5, 30.0),
+        iterations=st.just(1) | st.integers(1, 300),
+    )
+    def test_cut_equals_full_scan(self, limit, lift, rate, amplitude, period, iterations):
+        curve = flat_curve(
+            constraint_limit=limit,
+            constraint_start=limit + lift,
+            constraint_rate=rate,
+            osc_amplitude=amplitude,
+            osc_period=period,
+            max_iterations=iterations,
+        )
+        assert _min_constraint_value(curve) == full_scan_minimum(curve)
+
+    @pytest.mark.parametrize("preset", PRESET_NAMES)
+    @pytest.mark.parametrize("seed", [0, 1, 5])
+    def test_threshold_equals_full_scan(self, preset, seed):
+        problem = make_problem(preset, seed)
+        probe_seed = SyntheticProblem._PROBE_SEED_OFFSET + seed
+        minima = [
+            full_scan_minimum(problem.curve_for(sample(problem.space, probe_seed, i)))
+            for i in range(SyntheticProblem.PROBE_COUNT)
+        ]
+        expected = float(np.quantile(np.asarray(minima), problem.spec.feasible_fraction))
+        assert problem.constraint.threshold == expected
