@@ -21,6 +21,8 @@ def main() -> int:
     parser.add_argument("--seeds", type=int, default=3, help="number of seeds per preset")
     parser.add_argument("--max-concurrent", type=int, default=4)
     args = parser.parse_args()
+    if args.seeds < 1:
+        parser.error("--seeds must be >= 1")
 
     for preset, budget in PRESET_BUDGETS.items():
         every = final = unscheduled = total = 0

@@ -13,9 +13,10 @@ Subcommands:
 ``validate-theorem``   drives the randomized brute-force sweeps and prints
                        pass/fail counts.
 
-All floats in CSV files are written with 17 significant digits, CSV quoting
-follows the csv module's RFC-4180 defaults, and reruns of the same config
-produce byte-identical files. The output directory resolves in order:
+A CSV cell is written by the rule for its exact type (floats with 17
+significant digits, true/false, empty for None, enums by value); no cell is
+quoted, lines end in CRLF, and reruns of the same config produce
+byte-identical files. The output directory resolves in order:
 ``--output-dir`` flag, ``ACE_HPO_OUTPUT_DIR`` environment variable, the
 config's ``output_dir`` key, then ``./results``.
 """
@@ -23,10 +24,10 @@ config's ``output_dir`` key, then ``./results``.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import functools
 import json
+import operator
 import os
 import re
 import statistics
@@ -38,10 +39,11 @@ from pathlib import Path
 from typing import Any, Callable, Sequence
 
 from .cost_model import CostParams, expected_cost_closed
-from .history import RunningHistory
+from .history import Group, RunningHistory
 from .schedulers import (
     AceConfig,
     AceScheduler,
+    Action,
     AshaConfig,
     AshaScheduler,
     ConstraintCallback,
@@ -246,23 +248,26 @@ def load_config(path: str | Path) -> dict:
     return config
 
 
-def _fmt(value: Any) -> str:
-    """One cell: 17 significant digits for floats, true/false, empty for None."""
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return str(value)
+# One rule per exact cell type; any other type is a bug and raises KeyError.
+# No cell needs quoting: cells are numbers, true/false, enum values, statuses
+# and arm names (which match _ARM_NAME).
+_CELL: dict[type, Callable[[Any], str]] = {
+    type(None): lambda _: "",
+    bool: lambda value: "true" if value else "false",
+    float: lambda value: format(value, ".17g"),
+    int: str,
+    str: str,
+    Group: operator.attrgetter("value"),
+    Action: operator.attrgetter("value"),
+}
 
 
 def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence[Any]]) -> None:
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(cell) for cell in row])
+        handle.write(",".join(header) + "\r\n")
+        handle.writelines(
+            ",".join([_CELL[type(cell)](cell) for cell in row]) + "\r\n" for row in rows
+        )
 
 
 TRACE_HEADER = (
@@ -287,36 +292,16 @@ SUMMARY_HEADER = ("arm", "seed", *SUMMARY_FIELDS)
 
 
 def _write_run_files(out_dir: Path, arm: str, seed: int, result: RunResult) -> None:
-    """Trace rows per checkpoint record, decision rows per loop checkpoint, trial rows."""
-    prefix = f"{arm}_seed{seed}"
-    trace_rows, decision_rows = [], []
-    for r in result.history.records:
-        trace_rows.append(
-            (
-                r.trial_id, r.iteration, r.opt_metric, r.constraint_value,
-                r.group.value, r.violation_amount, r.sim_time,
-            )
-        )
-        if r.action is not None:
-            decision_rows.append(
-                (
-                    r.sim_time, r.trial_id, r.iteration, r.action.value,
-                    r.evaluate_constraint, r.group.value, r.rank, r.group_size,
-                )
-            )
-    _write_csv(out_dir / f"{prefix}_trace.csv", TRACE_HEADER, trace_rows)
-    _write_csv(out_dir / f"{prefix}_decisions.csv", DECISION_HEADER, decision_rows)
-    _write_csv(
-        out_dir / f"{prefix}_trials.csv",
-        TRIAL_HEADER,
-        [
-            (
-                row.trial_id, row.max_iterations, row.interval,
-                row.best_opt, row.best_iteration, row.status,
-            )
-            for row in result.history.trials
-        ],
-    )
+    """Each run table's rows read by its header's names: trace rows from every
+    checkpoint record, decision rows from the records with an action, trial rows."""
+    records = result.history.records
+    for table, header, rows in (
+        ("trace", TRACE_HEADER, records),
+        ("decisions", DECISION_HEADER, [r for r in records if r.action is not None]),
+        ("trials", TRIAL_HEADER, result.history.trials),
+    ):
+        cells = list(map(operator.attrgetter(*header), rows))
+        _write_csv(out_dir / f"{arm}_seed{seed}_{table}.csv", header, cells)
 
 
 def _per_seed_record(seed: int, result: RunResult) -> dict:
@@ -419,7 +404,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     _write_csv(out_dir / "summary.csv", SUMMARY_HEADER, summary_rows)
     lines = [
-        f"problem: {config['problem']['preset']}  budget: {_fmt(budget)}  "
+        f"problem: {config['problem']['preset']}  budget: {budget:.17g}  "
         f"max_concurrent: {max_concurrent}  seeds: {list(problems)}",
         "",
         f"{'arm':<16} {'best_feasible_score':<26} {'time_to_best':<26} "

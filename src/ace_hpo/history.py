@@ -139,14 +139,14 @@ class CostLedger:
     constraint_cost_count: int = 0
 
     def add_primary(self, cost: float) -> None:
-        if cost < 0:
-            raise ValueError("cost must be nonnegative")
+        if not 0.0 <= cost < math.inf:
+            raise ValueError("cost must be nonnegative and finite")
         self.total_primary_cost += cost
         self.primary_cost_count += 1
 
     def add_constraint(self, cost: float) -> None:
-        if cost < 0:
-            raise ValueError("cost must be nonnegative")
+        if not 0.0 <= cost < math.inf:
+            raise ValueError("cost must be nonnegative and finite")
         self.total_constraint_cost += cost
         self.constraint_cost_count += 1
 

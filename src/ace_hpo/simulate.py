@@ -249,6 +249,21 @@ class ProblemSpec:
         for term in self.quality_terms + self.feasibility_terms:
             if term.param not in names:
                 raise ValueError(f"landscape term references unknown parameter {term.param!r}")
+        # What every TrialCurve built from this spec needs. With nonnegative
+        # feasibility weights the headroom score lies in (0, 1], so the
+        # oscillation amplitude lies between osc_base and osc_base + osc_gain.
+        if not 0.0 < self.primary_cost < math.inf:
+            raise ValueError("primary_cost must be positive and finite")
+        if not 0.0 <= self.constraint_cost < math.inf:
+            raise ValueError("constraint_cost must be nonnegative and finite")
+        if not (self.opt_noise >= 0.0 and self.constraint_noise >= 0.0):
+            raise ValueError("opt_noise and constraint_noise must be nonnegative")
+        if not self.osc_period > 0.0:
+            raise ValueError("osc_period must be positive")
+        if not self.constraint_rate_scale > 0.0:
+            raise ValueError("constraint_rate_scale must be positive")
+        if not (self.osc_base >= 0.0 and self.osc_base + self.osc_gain >= 0.0):
+            raise ValueError("osc_base and osc_base + osc_gain must be nonnegative")
 
 
 class SyntheticProblem:

@@ -149,6 +149,13 @@ class TestConfigValidation:
             ({"seeds": [0, 0]}, "duplicate"),
             # Adaptive evaluation needs stratum mode: plain ASHA never evaluates.
             ({"arms": [_arm("asha", constraint_interval_fixed=False)]}, "constraint_interval_fixed"),
+            # Values no trial curve can take: each once crashed calibration.
+            (_overrides(primary_cost=0), "primary_cost"),
+            (_overrides(constraint_cost=-1), "constraint_cost"),
+            (_overrides(osc_period=0), "osc_period"),
+            (_overrides(opt_noise=-0.1), "opt_noise"),
+            (_overrides(constraint_rate_scale=0), "constraint_rate_scale"),
+            (_overrides(osc_base=-1), "osc_base"),
         ],
     )
     def test_rejected_before_any_output(self, tmp_path, capsys, changes, key):
@@ -518,6 +525,33 @@ def test_traced_benchmark_run_writes_spans(tmp_path):
     proc = subprocess.run(command, env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert spans.exists()
+
+
+def _lines(path):
+    with open(path, encoding="utf-8", newline="") as handle:
+        return handle.read().splitlines(keepends=True)
+
+
+def test_no_written_csv_cell_needs_quoting(tmp_path):
+    """Every CSV the commands write reads back the same by csv.reader and by a
+    plain split: cells are joined unquoted, so none may hold a comma, a quote
+    or a line break."""
+    config_path = tmp_path / "config.json"
+    write_config(
+        config_path,
+        seeds=[0],
+        budget=300.0,
+        arms=[_arm(kind) for kind in ("ace", "asha", "asha_callback", "no_stopping")],
+    )
+    assert main(["run", str(config_path), "--output-dir", str(tmp_path / "run")]) == 0
+    assert main(["cost-curve", "--output", str(tmp_path / "curve" / "cost_curve.csv")]) == 0
+    assert main(["truncation-sweep", str(config_path), "--output-dir", str(tmp_path / "sweep")]) == 0
+    paths = sorted(tmp_path.glob("*/*.csv"))
+    assert len(paths) == 4 * 3 + 1 + 1 + 1
+    for path in paths:
+        lines = _lines(path)
+        assert lines and all(line.endswith("\r\n") for line in lines), path
+        assert list(csv.reader(lines)) == [line.rstrip("\r\n").split(",") for line in lines], path
 
 
 class TestCostCurveCommand:

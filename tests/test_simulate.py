@@ -126,6 +126,15 @@ class TestMeteredEvaluation:
         with pytest.raises(ValueError):
             eval_constraint_metric(flat_curve(), 17, 0, 0, meter)
 
+    @pytest.mark.parametrize("cost", [math.nan, math.inf, -math.inf, -1.0])
+    def test_ledger_rejects_negative_and_nonfinite_costs(self, cost):
+        # A NaN clock is never >= the budget, so the run loop would never end.
+        ledger = CostLedger()
+        for add in (ledger.add_primary, ledger.add_constraint):
+            with pytest.raises(ValueError, match="nonnegative and finite"):
+                add(cost)
+        assert ledger == CostLedger()
+
     def test_noisy_value_matches_components(self):
         meter = CostMeter(CostLedger())
         curve = flat_curve(opt_noise=0.01)
@@ -349,6 +358,36 @@ class TestRunExperiment:
             result = run_experiment(problem, factory, budget=300.0, max_concurrent=4, seed=8)
             assert any(e.rank is not None for e in result.history.records)
 
+    @pytest.mark.parametrize("kind", ["ace", "asha", "asha_callback", "no_stopping"])
+    @pytest.mark.parametrize(
+        "make, budget, max_concurrent",
+        [
+            (lambda: fixed_length_problem(iterations=1), 300.0, 4),
+            (lambda: make_problem("fairness-like", 0, constraint_cost=0.0), 300.0, 4),
+            (lambda: make_problem("fairness-like", 0), 0.5, 4),
+            (lambda: make_problem("fairness-like", 0), 300.0, 500),
+        ],
+        ids=["one_iteration", "free_constraint", "budget_below_one_iteration", "500_slots"],
+    )
+    def test_degenerate_inputs_complete_consistently(self, make, budget, max_concurrent, kind):
+        problem = make()
+        asha = AshaConfig(max_time_units=problem.space.max_iterations)
+        factory = {
+            "ace": lambda h: AceScheduler(AceConfig(), h),
+            "asha": lambda h: AshaScheduler(asha, h),
+            "asha_callback": lambda h: ConstraintCallback(AshaScheduler(asha, h)),
+            "no_stopping": NoStoppingScheduler,
+        }[kind]
+        result = run_experiment(problem, factory, budget, max_concurrent, seed=0)
+        assert result.total_trials == (
+            result.completed_trials + result.stopped_trials + result.truncated_trials
+        )
+        ledger, records = result.history.ledger, result.history.records
+        assert result.total_cost == ledger.total_primary_cost + ledger.total_constraint_cost
+        assert records[-1].sim_time == result.total_cost
+        scan_evaluations = result.scan.evaluations if result.scan else 0
+        assert len(records) == result.primary_iterations + scan_evaluations
+
     def test_invalid_arguments(self):
         problem = fixed_length_problem()
         with pytest.raises(ValueError):
@@ -401,6 +440,26 @@ class TestProblems:
             replace(base, feasible_fraction=0.0)
         with pytest.raises(ValueError):
             replace(base, rate_param="nope")
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("constraint_cost", math.nan),
+            ("constraint_cost", math.inf),
+            ("constraint_cost", -1.0),
+            ("primary_cost", 0.0),
+            ("primary_cost", math.inf),
+            ("opt_noise", -0.1),
+            ("constraint_noise", math.nan),
+            ("osc_period", 0.0),
+            ("constraint_rate_scale", 0.0),
+            ("osc_base", -1.0),
+            ("osc_gain", -1.0),
+        ],
+    )
+    def test_spec_rejects_values_no_curve_takes(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            make_problem("fairness-like", 0, **{field: value})
 
 
 def full_scan_minimum(curve):
