@@ -13,9 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Any
 
-import numpy as np
-
-from .streams import generator_at, grid_states
+from .streams import Draws, grid_draws
 
 __all__ = [
     "ParamKind",
@@ -54,6 +52,8 @@ class ParamSpec:
                 raise ValueError(f"{self.name}: ranged parameter needs low and high")
             if not self.low < self.high:
                 raise ValueError(f"{self.name}: low must be strictly below high")
+            if not math.isfinite(self.high - self.low):
+                raise ValueError(f"{self.name}: bounds must be finite, with a finite range")
             if self.kind in _LOG_KINDS and self.low <= 0:
                 raise ValueError(f"{self.name}: log-scale bounds must be positive")
             if self.kind is ParamKind.LOG_UNIFORM_INT and (
@@ -111,16 +111,18 @@ class Configuration:
             raise ValueError("max_iterations must be >= 1")
 
 
-def _sample_param(spec: ParamSpec, rng: np.random.Generator) -> Any:
+def _sample_param(spec: ParamSpec, draws: Draws, i: int) -> Any:
+    """numpy's draw for the spec from stream i: ``uniform`` in (log) bounds, or
+    ``integers`` over the choices."""
     if spec.kind is ParamKind.UNIFORM_REAL:
-        return float(rng.uniform(spec.low, spec.high))
+        return draws.uniform(i, float(spec.low), float(spec.high))
     if spec.kind is ParamKind.LOG_UNIFORM_REAL:
-        return float(math.exp(rng.uniform(math.log(spec.low), math.log(spec.high))))
+        return math.exp(draws.uniform(i, math.log(spec.low), math.log(spec.high)))
     if spec.kind is ParamKind.LOG_UNIFORM_INT:
         # Uniform in log space, rounded down, clamped into the bounds.
-        raw = math.floor(math.exp(rng.uniform(math.log(spec.low), math.log(spec.high))))
+        raw = math.floor(math.exp(draws.uniform(i, math.log(spec.low), math.log(spec.high))))
         return int(min(max(raw, spec.low), spec.high))
-    return spec.choices[int(rng.integers(len(spec.choices)))]
+    return spec.choices[draws.integers(i, len(spec.choices))]
 
 
 _BLOCK = 64
@@ -132,9 +134,8 @@ def sample(space: SearchSpace, seed: int, trial_index: int = 0) -> Configuration
     if trial_index < 0:
         raise ValueError("trial_index must be nonnegative")
     offset, n = trial_index % _BLOCK, len(space.params)
-    grid = grid_states(seed, trial_index - offset, _BLOCK, 0, n)
-    states = grid[offset * n : offset * n + n].tolist()
-    values: dict[str, Any] = {}
-    for spec, state in zip(space.params, states):
-        values[spec.name] = _sample_param(spec, generator_at(state))
+    block = grid_draws(seed, trial_index - offset, _BLOCK, 0, n)
+    values = {
+        spec.name: _sample_param(spec, block, offset * n + j) for j, spec in enumerate(space.params)
+    }
     return Configuration(values, int(values[space.iteration_axis.name]))

@@ -32,7 +32,7 @@ from .search_space import (
     SearchSpace,
     sample,
 )
-from .streams import generator_at, grid_states, seed_states
+from .streams import Draws, grid_draws, seed_draws
 
 __all__ = [
     "TrialCurve",
@@ -133,21 +133,22 @@ def _min_constraint_value(curve: TrialCurve) -> float:
 # A noise tile holds `span` iterations from `first` (a power of two below
 # _TILE_KEYS, else a multiple of it) for each of _TILE_KEYS // span trial ids.
 _TILE_KEYS = 512
-# The post-hoc scan's states for its current chunk of candidates; empty outside it.
-_scan_states: dict[tuple[int, int, int, int], list[int]] = {}
+# The post-hoc scan's draws for its current chunk of candidates; empty outside it.
+_scan_draws: dict[tuple[int, int, int, int], tuple[Draws, int]] = {}
 
 
 def metric_noise(problem_seed: int, trial_id: int, iteration: int, tag: int) -> float:
     """Standard normal draw keyed by position, independent of evaluation order: the first
     draw of ``PCG64(SeedSequence(problem_seed, spawn_key=(trial_id, iteration, tag)))``."""
-    state = _scan_states.get((problem_seed, trial_id, iteration, tag)) if _scan_states else None
-    if state is None:
+    found = _scan_draws.get((problem_seed, trial_id, iteration, tag)) if _scan_draws else None
+    if found is None:
         span = min(1 << max(iteration.bit_length() - 1, 0), _TILE_KEYS)
         width, first = _TILE_KEYS // span, iteration & -span
         offset = trial_id % width
-        tile = grid_states(problem_seed, trial_id - offset, width, first, span, (tag,))
-        state = tile[offset * span + iteration - first].tolist()
-    return float(generator_at(state).standard_normal())
+        tile = grid_draws(problem_seed, trial_id - offset, width, first, span, (tag,))
+        found = tile, offset * span + iteration - first
+    draws, i = found
+    return draws.normal(i)
 
 
 @dataclass
@@ -249,9 +250,10 @@ class ProblemSpec:
         for term in self.quality_terms + self.feasibility_terms:
             if term.param not in names:
                 raise ValueError(f"landscape term references unknown parameter {term.param!r}")
-        # What every TrialCurve built from this spec needs. With nonnegative
-        # feasibility weights the headroom score lies in (0, 1], so the
-        # oscillation amplitude lies between osc_base and osc_base + osc_gain.
+        # What every TrialCurve built from this spec needs. The headroom score
+        # exp(-sum(w * d**2)) has each d**2 in [0, max(|c|, |1 - c|)**2] for u
+        # in [0, 1], so it lies in [0, exp(peak)], with peak the sum over
+        # negative weights; the amplitude, linear in it, is checked at both ends.
         if not 0.0 < self.primary_cost < math.inf:
             raise ValueError("primary_cost must be positive and finite")
         if not 0.0 <= self.constraint_cost < math.inf:
@@ -262,8 +264,17 @@ class ProblemSpec:
             raise ValueError("osc_period must be positive")
         if not self.constraint_rate_scale > 0.0:
             raise ValueError("constraint_rate_scale must be positive")
-        if not (self.osc_base >= 0.0 and self.osc_base + self.osc_gain >= 0.0):
-            raise ValueError("osc_base and osc_base + osc_gain must be nonnegative")
+        peak = sum(
+            -t.weight * max(abs(t.center), abs(1.0 - t.center)) ** 2
+            for t in self.feasibility_terms
+            if t.weight < 0.0
+        )
+        at_peak = self.osc_base + self.osc_gain * (1.0 - math.exp(min(peak, 700.0)))
+        if not (self.osc_base + self.osc_gain >= 0.0 and at_peak >= 0.0):
+            raise ValueError(
+                "osc_base + osc_gain * (1 - headroom) must be nonnegative for every headroom"
+                " score the feasibility_terms allow"
+            )
 
 
 class SyntheticProblem:
@@ -551,17 +562,17 @@ class _Slot:
     iteration: int = 0
 
 
-def _pin_scan_states(
+def _pin_scan_draws(
     problem_seed: int, candidates: list[tuple[int, int, float]]
 ) -> Iterator[tuple[int, int, float]]:
-    """The candidates, with each _TILE_KEYS-chunk's constraint-noise states put in
-    ``_scan_states`` as the scan reaches it: best-first order hits tiles at random."""
+    """The candidates, with each _TILE_KEYS-chunk's constraint-noise draws put in
+    ``_scan_draws`` as the scan reaches it: best-first order hits tiles at random."""
     for start in range(0, len(candidates), _TILE_KEYS):
         chunk = candidates[start : start + _TILE_KEYS]
         keys = [(trial_id, iteration, _CONSTRAINT_TAG) for trial_id, iteration, _ in chunk]
-        _scan_states.clear()
-        states = seed_states(problem_seed, keys).tolist()
-        _scan_states.update(((problem_seed, *key), state) for key, state in zip(keys, states))
+        draws = seed_draws(problem_seed, keys)
+        _scan_draws.clear()
+        _scan_draws.update(((problem_seed, *key), (draws, i)) for i, key in enumerate(keys))
         yield from chunk
 
 
@@ -650,9 +661,9 @@ def run_experiment(
 
         try:
             scan = post_hoc_feasibility_scan(
-                history, _pin_scan_states(problem.problem_seed, candidates), scan_eval
+                history, _pin_scan_draws(problem.problem_seed, candidates), scan_eval
             )
         finally:
-            _scan_states.clear()
+            _scan_draws.clear()
 
     return RunResult(problem, budget, scan, history)

@@ -1,30 +1,40 @@
-"""Exact, batched seeding of numpy's keyed PCG64 streams.
+"""Exact, batched first draws of numpy's keyed PCG64 streams.
 
 ``PCG64(SeedSequence(seed, spawn_key=key))`` gets its state by integer work
 alone (SeedSequence's uint32 hash and mix steps, then two 128-bit LCG steps),
-which :func:`seed_states` does for many keys at once, bit for bit. numpy still
-draws every value, from the one module-level generator, so draws are
-single-threaded."""
+and its first output word by one more step and the XSL-RR output.
+:func:`seed_draws` does this for many keys at once, bit for bit, and reads
+each stream's first standard normal from that word with numpy's own
+ziggurat tables. :class:`Draws` turns the word into numpy's first uniform
+and bounded integer the same way. A draw the first word cannot settle (a
+ziggurat wedge or tail, a Lemire rejection) sets the stream's state on the
+one module-level generator and lets numpy draw, so draws are single-threaded.
+"""
 
 from __future__ import annotations
 
 import functools
-from typing import Sequence
+from typing import NamedTuple
 
 import numpy as np
 
-__all__ = ["seed_states", "grid_states", "generator_at"]
+__all__ = ["Draws", "seed_draws", "grid_draws"]
 
-_M32, _M64 = 2**32 - 1, 2**64 - 1
+_M32, _M52, _M64, _M128 = 2**32 - 1, 2**52 - 1, 2**64 - 1, 2**128 - 1
 # SeedSequence's hash and mix constants, and PCG64's multiplier in 64-bit halves.
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _PCG_HI, _PCG_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
+_PCG = _PCG_HI << 64 | _PCG_LO
+_PCG_INVERSE = pow(_PCG, -1, 2**128)
 
 # Built at the first derivation, so that importing touches no numpy.random.
 _generator: np.random.Generator | None = None
 _lcg = {"state": 0, "inc": 0}  # refilled in place for each draw
 _full_state = {"bit_generator": "PCG64", "state": _lcg, "has_uint32": 0, "uinteger": 0}
+# numpy's ziggurat wi (float64) and accept bounds at or below its ki (uint64), then
+# both again for the negative sign.
+_tables: tuple[np.ndarray, np.ndarray] | None = None
 
 
 def _xorshift(value: np.ndarray) -> np.ndarray:
@@ -41,86 +51,220 @@ def _hash_constants(start: int, mult: int, count: int) -> np.ndarray:
 def _prefix(seed: int, key_length: int) -> tuple[np.ndarray, ...]:
     """What every key of a seed shares: the pool numpy mixes from the seed's words
     (zero-padded to four, as for any non-empty key), and the (xor, multiply)
-    operands of each key word in each pool slot and of the eight output words."""
+    operands of each key word in each pool slot and of the eight output words,
+    shaped to broadcast over keys laid out in two dimensions."""
     words = [seed >> shift & _M32 for shift in range(0, max(seed.bit_length(), 128), 32)]
-    pool = np.random.SeedSequence(words).pool[:, None]
+    pool = np.random.SeedSequence(words).pool[:, None, None]
     key = _hash_constants(_INIT_A, _MULT_A, 4 * (len(words) + key_length))[4 * len(words) :]
     out = _hash_constants(_INIT_B, _MULT_B, 8)[:, None]
-    shape = (key_length, 4, 1)
+    shape = (key_length, 4, 1, 1)
     return pool, key[:-1].reshape(shape), key[1:].reshape(shape), out[:-1], out[1:]
 
 
 def _mulhi(a: np.ndarray, b: int) -> np.ndarray:
-    """High 64 bits of each a * b, from 32-bit limbs."""
+    """High 64 bits of each a * b, from 32-bit limbs (the middle sum cannot wrap)."""
     a0, a1, b0, b1 = a & _M32, a >> 32, b & _M32, b >> 32
-    p01, p10 = a0 * b1, a1 * b0
-    mid = (a0 * b0 >> 32) + (p01 & _M32) + (p10 & _M32)
-    return a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+    p01 = a0 * b1
+    mid = a1 * b0 + (p01 & _M32) + (a0 * b0 >> 32)
+    return a1 * b1 + (p01 >> 32) + (mid >> 32)
 
 
-def _derive(seed: int, words: np.ndarray) -> np.ndarray:
-    """States for uint32 key words of shape (key length, n)."""
+def _step(hi: np.ndarray, lo: np.ndarray, inc_hi, inc_lo) -> tuple[np.ndarray, np.ndarray]:
+    """(hi, lo) * multiplier + inc, mod 2**128: one PCG64 step."""
+    new_lo = lo * _PCG_LO + inc_lo
+    new_hi = _mulhi(lo, _PCG_LO) + hi * _PCG_LO + lo * _PCG_HI + inc_hi + (new_lo < inc_lo)
+    return new_hi, new_lo
+
+
+def _derive(seed: int, words: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """States, shape (4, n), and first output words of the n keys whose uint32
+    words broadcast from ``words``: one array of at most two dimensions per key
+    position, the keys in row-major order."""
     pool, key_xor, key_mult, out_xor, out_mult = _prefix(seed, len(words))
     for word, xor, mult in zip(words, key_xor, key_mult):
+        # A word that is the same for every key is hashed once.
         pool = _xorshift(_MIX_L * pool - _MIX_R * _xorshift((word ^ xor) * mult))
-    out = _xorshift((np.concatenate([pool, pool]) ^ out_xor) * out_mult)
-    # Output word pairs are little-endian uint64s: s high, s low, q high, q low.
-    s_hi, s_lo, q_hi, q_lo = np.ascontiguousarray(out.T).view("<u8").astype(np.uint64).T
+    pool = pool.reshape(4, -1)
+    out = _xorshift((np.concatenate([pool, pool]) ^ out_xor) * out_mult).astype(np.uint64)
+    # The output words pair up, low word first, into s high, s low, q high, q low.
+    s_hi, s_lo, q_hi, q_lo = out[0::2] | out[1::2] << 32
     # PCG64 seeding: inc = 2q + 1 and state = (inc + s) * multiplier + inc, mod 2**128.
     inc_hi, inc_lo = q_hi << 1 | q_lo >> 63, q_lo << 1 | 1
     sum_lo = inc_lo + s_lo
-    sum_hi = inc_hi + s_hi + (sum_lo < inc_lo)
-    state_lo = sum_lo * _PCG_LO + inc_lo
-    prod_hi = _mulhi(sum_lo, _PCG_LO) + sum_hi * _PCG_LO + sum_lo * _PCG_HI
-    state_hi = prod_hi + inc_hi + (state_lo < inc_lo)
-    return np.stack([state_hi, state_lo, inc_hi, inc_lo], axis=1)
+    state_hi, state_lo = _step(inc_hi + s_hi + (sum_lo < inc_lo), sum_lo, inc_hi, inc_lo)
+    # numpy steps, then outputs XSL-RR: (hi ^ lo) rotated right by hi >> 58.
+    next_hi, next_lo = _step(state_hi, state_lo, inc_hi, inc_lo)
+    mixed, rotation = next_hi ^ next_lo, next_hi >> 58
+    first = mixed >> rotation | mixed << (64 - rotation & 63)
+    return np.stack([state_hi, state_lo, inc_hi, inc_lo]), first
 
 
-def _reference(seed: int, key: tuple[int, ...]) -> list[int]:
-    state = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)).state["state"]
-    return [state["state"] >> 64, state["state"] & _M64, state["inc"] >> 64, state["inc"] & _M64]
+def _reference(seed: int, key: tuple[int, ...]) -> tuple[list[int], int]:
+    """numpy's own state row and first output word of one keyed stream."""
+    bit_generator = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key))
+    state = bit_generator.state["state"]
+    row = [state["state"] >> 64, state["state"] & _M64, state["inc"] >> 64, state["inc"] & _M64]
+    return row, int(bit_generator.random_raw())
 
 
-def seed_states(seed: int, keys) -> np.ndarray:
-    """The state of ``PCG64(SeedSequence(seed, spawn_key=key))`` for each key.
+def _landing_at(word: int) -> np.random.Generator:
+    """The shared generator, set so that its next step lands on state ``word``
+    (inc 1), whose output is ``word`` itself since its high half is 0."""
+    state = (word - 1) * _PCG_INVERSE & _M128
+    return _generator_at((state >> 64, state & _M64, 0, 1))
 
-    ``keys`` has shape (n, key length >= 1); row i of the result is (state high,
-    state low, inc high, inc low) as uint64. Keys with a word outside [0, 2**32)
-    take numpy's own seeding. The first call in a process checks the derivation
-    against numpy's and raises RuntimeError if they differ.
-    """
+
+def _normal_within(word: int, steps: int) -> float | None:
+    """The standard normal drawn from output ``word`` onwards, or None if numpy
+    stepped more than ``steps`` times to draw it."""
+    value = float(_landing_at(word).standard_normal())
+    landed, state = _generator.bit_generator.state["state"]["state"], word
+    for _ in range(steps):
+        if landed == state:
+            return value
+        state = (state * _PCG + 1) & _M128
+    return None
+
+
+def _recover_tables() -> tuple[list[float], list[int]]:
+    """numpy's ziggurat wi, and an accept bound at or below ki for each layer.
+
+    numpy's ziggurat (Marsaglia and Tsang, 2000) reads a word r as layer
+    idx = r & 0xff, sign bit r >> 8 & 1 and rabs = r >> 9 & (2**52 - 1), draws
+    x = +-rabs * wi[idx] and returns it at once when rabs < ki[idx]; numpy
+    keeps both tables private. wi[idx] is the draw of word 1 << 9 | idx (one
+    step, or two through the wedge). ki[idx] is about the width ratio
+    wi[idx - 1] / wi[idx] * 2**52 (wi[-1] / wi[0] for the base layer); the bound
+    sits a little below it and is kept only if the word just under it draws in
+    one step, which proves that every smaller rabs does. Layer 1, whose ki is
+    0, keeps none."""
+    wi = [_normal_within(1 << 9 | idx, 2) for idx in range(256)]
+    bounds = []
+    for idx in range(256):
+        bound = 0
+        if wi[idx] and wi[idx - 1]:
+            bound = min(int(wi[idx - 1] / wi[idx] * 2**52) - 2**32, 2**52)
+            if bound < 1 or _normal_within((bound - 1) << 9 | idx, 1) is None:
+                bound = 0
+        bounds.append(bound)
+    return [value or 0.0 for value in wi], bounds
+
+
+def _build_tables() -> tuple[np.ndarray, np.ndarray]:
+    """Check the derivation and the recovered tables against numpy and return the
+    tables, or raise RuntimeError naming the numpy version."""
     global _generator
-    if _generator is None:
-        probe_seed, probe_key = 2**140 + 9, (7, 2**31 + 5, 1)
-        derived = _derive(probe_seed, np.array([probe_key], np.uint32).T)[0].tolist()
-        if derived != _reference(probe_seed, probe_key):
-            raise RuntimeError(f"numpy {np.__version__} seeds PCG64 unlike ace_hpo.streams")
-        _generator = np.random.Generator(np.random.PCG64(0))
+    _generator = np.random.Generator(np.random.PCG64(0))
+    probe_seed, probe_keys = 2**140 + 9, [(7, 2**31 + 5, tag) for tag in range(8)]
+    states, first = _derive(probe_seed, list(np.array(probe_keys, np.uint32).T))
+    expected = [_reference(probe_seed, key) for key in probe_keys]
+    wi, bounds = _recover_tables()
+    # Every layer's fast path at its largest accepted rabs, negative sign, against numpy.
+    fast = [idx for idx in range(256) if bounds[idx]]
+    drawn = [float(_landing_at((bounds[i] - 1) << 9 | 1 << 8 | i).standard_normal()) for i in fast]
+    if (
+        states.T.tolist() != [row for row, _ in expected]
+        or first.tolist() != [word for _, word in expected]
+        or drawn != [-((bounds[i] - 1) * wi[i]) for i in fast]
+    ):
+        raise RuntimeError(f"numpy {np.__version__} draws PCG64 streams unlike ace_hpo.streams")
+    return np.array(wi + [-value for value in wi]), np.array(bounds * 2, np.uint64)
+
+
+def _normals(words: np.ndarray) -> np.ndarray:
+    """numpy's first standard normal of each word, NaN where it needs more words."""
+    signed_wi, bounds = _tables  # indexed by the sign and layer bits, r & 0x1ff
+    sign_layer = (words & 0x1FF).astype(np.intp)
+    rabs = words >> 9 & _M52
+    values = rabs.astype(np.float64) * signed_wi[sign_layer]
+    values[rabs >= bounds[sign_layer]] = np.nan
+    return values
+
+
+class Draws(NamedTuple):
+    """The first draws of a batch of keyed streams, stream i from key i.
+
+    ``states`` has rows state high, state low, inc high and inc low, as uint64;
+    ``words`` holds each stream's first output word and ``normals`` its first
+    ``standard_normal()``, NaN where the ziggurat needs more than that word.
+    """
+
+    normals: np.ndarray
+    words: np.ndarray
+    states: np.ndarray
+
+    def normal(self, i: int) -> float:
+        """``standard_normal()`` of stream i."""
+        value = self.normals.item(i)
+        if value == value:
+            return value
+        return float(_generator_at(self.states[:, i].tolist()).standard_normal())
+
+    def uniform(self, i: int, low: float, high: float) -> float:
+        """``uniform(low, high)`` of stream i, for floats with a finite difference."""
+        return low + (high - low) * ((self.words.item(i) >> 11) * 2.0**-53)
+
+    def integers(self, i: int, count: int) -> int:
+        """``integers(count)`` of stream i: Lemire's bounded integer from the low
+        32 bits (Lemire, ACM TOMACS 2019), drawn by numpy where it may reject."""
+        product = (self.words.item(i) & _M32) * count
+        if product & _M32 >= count:
+            return product >> 32
+        return int(_generator_at(self.states[:, i].tolist()).integers(count))
+
+
+def seed_draws(seed: int, keys) -> Draws:
+    """The first draws of ``PCG64(SeedSequence(seed, spawn_key=key))`` for each key.
+
+    ``keys`` has shape (n, key length >= 1). Keys with a word outside
+    [0, 2**32) take numpy's own seeding. The first call in a process recovers
+    numpy's ziggurat tables and checks them and the derivation against numpy,
+    raising RuntimeError if they differ.
+    """
     keys = np.asarray(keys)
     narrow = ((keys >= 0) & (keys <= _M32)).all(axis=1)
-    states = np.empty((len(keys), 4), dtype=np.uint64)
-    states[narrow] = _derive(int(seed), keys[narrow].T.astype(np.uint32))
+    draws = _draws(seed, list(keys[narrow].T.astype(np.uint32)))
+    if narrow.all():
+        return draws
+    states, words = np.empty((4, len(keys)), np.uint64), np.empty(len(keys), np.uint64)
+    states[:, narrow], words[narrow] = draws.states, draws.words
     for i in np.flatnonzero(~narrow):
-        states[i] = _reference(seed, tuple(int(word) for word in keys[i]))
-    return states
+        states[:, i], words[i] = _reference(seed, tuple(int(word) for word in keys[i]))
+    return Draws(_normals(words), words, states)
+
+
+def _draws(seed: int, words: list[np.ndarray]) -> Draws:
+    """:func:`_derive` with the normals, the tables built at the first call."""
+    global _tables
+    if _tables is None:
+        _tables = _build_tables()
+    states, first = _derive(int(seed), words)
+    return Draws(_normals(first), first, states)
 
 
 @functools.lru_cache(maxsize=20)
-def grid_states(
+def grid_draws(
     seed: int, row_start: int, rows: int, col_start: int, cols: int, tail: tuple[int, ...] = ()
-) -> np.ndarray:
-    """:func:`seed_states` of the keys (row, col, *tail) for ``rows`` rows from
+) -> Draws:
+    """:func:`seed_draws` of the keys (row, col, *tail) for ``rows`` rows from
     ``row_start`` and ``cols`` columns from ``col_start``, row-major. The 20
     cached grids cover the noise tiles and sampling blocks that a run has in use."""
-    row, col = np.divmod(np.arange(rows * cols), cols)
-    keys = [row + row_start, col + col_start, *(np.full(row.size, word) for word in tail)]
-    states = seed_states(seed, np.stack(keys, axis=1))
-    states.flags.writeable = False  # shared by every caller through the cache
-    return states
+    ends = (row_start, row_start + rows - 1, col_start, col_start + cols - 1, *tail)
+    if all(0 <= word <= _M32 for word in ends):
+        row = np.arange(row_start, row_start + rows, dtype=np.uint32)[:, None]
+        col = np.arange(col_start, col_start + cols, dtype=np.uint32)
+        draws = _draws(seed, [row, col, *(np.array(word, np.uint32) for word in tail)])
+    else:
+        row, col = np.divmod(np.arange(rows * cols), cols)
+        keys = [row + row_start, col + col_start, *(np.full(row.size, word) for word in tail)]
+        draws = seed_draws(seed, np.stack(keys, axis=1))
+    for array in draws:
+        array.flags.writeable = False  # shared by every caller through the cache
+    return draws
 
 
-def generator_at(state: Sequence[int]) -> np.random.Generator:
-    """The shared generator, set to one :func:`seed_states` row given as ints."""
+def _generator_at(state) -> np.random.Generator:
+    """The shared generator, set to one state row given as ints."""
     state_hi, state_lo, inc_hi, inc_lo = state
     _lcg["state"], _lcg["inc"] = state_hi << 64 | state_lo, inc_hi << 64 | inc_lo
     _generator.bit_generator.state = _full_state

@@ -156,6 +156,13 @@ class TestConfigValidation:
             (_overrides(opt_noise=-0.1), "opt_noise"),
             (_overrides(constraint_rate_scale=0), "constraint_rate_scale"),
             (_overrides(osc_base=-1), "osc_base"),
+            # A negative feasibility weight lifts the headroom score above 1.
+            (
+                _overrides(
+                    feasibility_terms=[{"param": "learning_rate", "center": 0.35, "weight": -5.0}]
+                ),
+                "feasibility_terms",
+            ),
         ],
     )
     def test_rejected_before_any_output(self, tmp_path, capsys, changes, key):

@@ -103,3 +103,18 @@ def test_space_validation_errors():
         )
     with pytest.raises(ValueError):
         Configuration({"n": 0}, 0)
+
+
+@pytest.mark.parametrize(
+    "kind, low, high",
+    [
+        (ParamKind.UNIFORM_REAL, 0.0, math.inf),
+        (ParamKind.UNIFORM_REAL, -math.inf, 0.0),
+        (ParamKind.UNIFORM_REAL, -1e308, 1e308),  # each bound finite, the range not
+        (ParamKind.LOG_UNIFORM_REAL, 1e-3, math.inf),
+    ],
+)
+def test_range_must_be_finite(kind, low, high):
+    # numpy's uniform raises OverflowError for such a range; the spec rejects it first.
+    with pytest.raises(ValueError, match="finite"):
+        ParamSpec("x", kind, low, high)

@@ -15,7 +15,7 @@ from ace_hpo.schedulers import (
     ConstraintCallback,
     NoStoppingScheduler,
 )
-from ace_hpo.search_space import ParamKind, ParamSpec, SearchSpace, sample
+from ace_hpo.search_space import Configuration, ParamKind, ParamSpec, SearchSpace, sample
 from ace_hpo.simulate import (
     PRESET_NAMES,
     CostMeter,
@@ -29,6 +29,7 @@ from ace_hpo.simulate import (
     make_problem,
     metric_noise,
     opt_curve_value,
+    problem_spec,
     run_experiment,
 )
 from ace_hpo.simulate import _min_constraint_value
@@ -455,11 +456,63 @@ class TestProblems:
             ("constraint_rate_scale", 0.0),
             ("osc_base", -1.0),
             ("osc_gain", -1.0),
+            # A negative weight lifts the headroom score above 1.
+            ("feasibility_terms", (LandscapeTerm("learning_rate", 0.35, -5.0),)),
         ],
     )
     def test_spec_rejects_values_no_curve_takes(self, field, value):
         with pytest.raises(ValueError, match=field):
             make_problem("fairness-like", 0, **{field: value})
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        terms=st.lists(
+            st.tuples(
+                st.sampled_from(["learning_rate", "regularization"]),
+                st.floats(-0.5, 1.5),
+                st.floats(-6.0, 6.0),
+            ),
+            max_size=3,
+        ),
+        osc_base=st.floats(0.0, 0.2),
+        osc_gain=st.floats(-0.2, 0.2),
+    )
+    def test_every_accepted_feasibility_term_builds_every_curve(self, terms, osc_base, osc_gain):
+        try:
+            spec = problem_spec(
+                "fairness-like",
+                feasibility_terms=tuple(LandscapeTerm(*term) for term in terms),
+                osc_base=osc_base,
+                osc_gain=osc_gain,
+            )
+        except ValueError:
+            return
+        problem = object.__new__(SyntheticProblem)  # curve_for reads only the spec
+        problem.spec = spec
+        # Each parameter at either bound or at a term's center, in normalized space.
+        points = [0.0, 1.0, *(min(max(center, 0.0), 1.0) for _, center, _ in terms)]
+        for lr in points:
+            for reg in points:
+                values = {
+                    "learning_rate": math.exp(math.log(1e-4) + lr * math.log(1e3)),
+                    "regularization": math.exp(math.log(1e-5) + reg * math.log(1e4)),
+                    "hidden_width": 64,
+                    "training_iterations": 64,
+                }
+                problem.curve_for(Configuration(values, 64))
+
+    def test_negative_quality_weight_runs(self):
+        # A quality weight shapes the objective only, unlike a feasibility weight.
+        result = run_experiment(
+            make_problem(
+                "fairness-like", 0, quality_terms=(LandscapeTerm("learning_rate", 0.35, -5.0),)
+            ),
+            NoStoppingScheduler,
+            budget=200.0,
+            max_concurrent=2,
+            seed=0,
+        )
+        assert result.history.records
 
 
 def full_scan_minimum(curve):

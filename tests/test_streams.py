@@ -2,6 +2,11 @@
 equals that of a fresh ``PCG64(SeedSequence(seed, spawn_key=key))``."""
 
 import functools
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,9 +18,11 @@ from ace_hpo.history import ConstraintSpec
 from ace_hpo.schedulers import AshaConfig, AshaScheduler, post_hoc_feasibility_scan
 from ace_hpo.search_space import Configuration, ParamKind, ParamSpec, SearchSpace, sample
 from ace_hpo.simulate import constraint_curve_value, make_problem, metric_noise, run_experiment
-from ace_hpo.streams import seed_states
+from ace_hpo.streams import Draws, grid_draws, seed_draws
 
+REPO = Path(__file__).resolve().parents[1]
 WORD = st.integers(0, 2**32 - 1)
+PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 def fresh_generator(seed, key):
@@ -28,8 +35,45 @@ def fresh_state(seed, key):
 
 
 def derived_states(seed, keys):
-    rows = seed_states(seed, keys).tolist()
+    rows = seed_draws(seed, keys).states.T.tolist()
     return [(hi << 64 | lo, inc_hi << 64 | inc_lo) for hi, lo, inc_hi, inc_lo in rows]
+
+
+def generator_with(row):
+    """A new generator holding one state row (state high, state low, inc high, inc low)."""
+    bit_generator = np.random.PCG64()
+    state_hi, state_lo, inc_hi, inc_lo = row
+    bit_generator.state = {
+        "bit_generator": "PCG64",
+        "state": {"state": state_hi << 64 | state_lo, "inc": inc_hi << 64 | inc_lo},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return np.random.Generator(bit_generator)
+
+
+def crafted_draws(words):
+    """Draws whose stream i outputs words[i] first: its state steps (inc 1) onto
+    state words[i], whose output is itself as the high half is 0."""
+    states = []
+    for word in words:
+        state = (word - 1) * pow(PCG_MULT, -1, 2**128) % 2**128
+        states.append([state >> 64, state & (2**64 - 1), 0, 1])
+    seed_draws(0, [(0,)])  # recovers the ziggurat tables
+    first = np.array(words, np.uint64)
+    return Draws(streams._normals(first), first, np.array(states, np.uint64).T)
+
+
+def fresh_param(spec, rng):
+    """A parameter value drawn with numpy's own generator calls."""
+    if spec.kind is ParamKind.UNIFORM_REAL:
+        return float(rng.uniform(spec.low, spec.high))
+    if spec.kind is ParamKind.LOG_UNIFORM_REAL:
+        return float(math.exp(rng.uniform(math.log(spec.low), math.log(spec.high))))
+    if spec.kind is ParamKind.LOG_UNIFORM_INT:
+        raw = math.floor(math.exp(rng.uniform(math.log(spec.low), math.log(spec.high))))
+        return int(min(max(raw, spec.low), spec.high))
+    return spec.choices[int(rng.integers(len(spec.choices)))]
 
 
 def fresh_noise(seed, trial_id, iteration, tag):
@@ -38,7 +82,7 @@ def fresh_noise(seed, trial_id, iteration, tag):
 
 def fresh_sample(space, seed, trial_index):
     values = {
-        spec.name: search_space._sample_param(spec, fresh_generator(seed, (trial_index, j)))
+        spec.name: fresh_param(spec, fresh_generator(seed, (trial_index, j)))
         for j, spec in enumerate(space.params)
     }
     return Configuration(values, int(values[space.iteration_axis.name]))
@@ -86,17 +130,151 @@ class TestSeedStates:
 
     def test_negative_key_rejected_like_numpy(self):
         with pytest.raises(ValueError):
-            seed_states(3, [(1, -1)])
+            seed_draws(3, [(1, -1)])
 
     def test_drift_guard_names_numpy_version(self, monkeypatch):
-        monkeypatch.setattr(streams, "_generator", None)
+        monkeypatch.setattr(streams, "_tables", None)
         monkeypatch.setattr(streams, "_MULT_B", streams._MULT_B ^ 1)
         streams._prefix.cache_clear()
         try:
             with pytest.raises(RuntimeError, match=f"numpy {np.__version__}"):
-                seed_states(0, [(1, 2)])
+                seed_draws(0, [(1, 2)])
         finally:
             streams._prefix.cache_clear()
+
+
+class TestFirstDraws:
+    """Each value Draws reads from a first word, and each fallback, against numpy."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**70),
+        keys=st.lists(
+            st.tuples(st.integers(0, 2**33), WORD, st.integers(0, 3)), min_size=1, max_size=10
+        ),
+        low=st.floats(-1e6, 1e6),
+        width=st.floats(1e-6, 1e6),
+        count=st.integers(1, 2**32 - 1),
+    )
+    def test_matches_fresh_generators(self, seed, keys, low, width, count):
+        draws = seed_draws(seed, np.array(keys, dtype=object))
+        for i, key in enumerate(keys):
+            high = low + width
+            assert draws.words.item(i) == int(fresh_generator(seed, key).bit_generator.random_raw())
+            assert draws.normal(i) == float(fresh_generator(seed, key).standard_normal())
+            uniform = fresh_generator(seed, key).uniform(low, high)
+            assert draws.uniform(i, low, high) == float(uniform)
+            assert draws.integers(i, count) == int(fresh_generator(seed, key).integers(count))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**64),
+        row_start=st.sampled_from([0, 63, 511, 512, 2**32 - 4]) | st.integers(0, 2**33),
+        rows=st.integers(1, 9),
+        col_start=st.sampled_from([0, 1, 255, 2**32 - 2]) | st.integers(0, 2**33),
+        cols=st.integers(1, 9),
+        tail=st.lists(st.integers(0, 2**32 + 1), max_size=2),
+    )
+    def test_grids_across_tile_edges(self, seed, row_start, rows, col_start, cols, tail):
+        grid = grid_draws(seed, row_start, rows, col_start, cols, tuple(tail))
+        keys = [
+            (row, col, *tail)
+            for row in range(row_start, row_start + rows)
+            for col in range(col_start, col_start + cols)
+        ]
+        expected = seed_draws(seed, np.array(keys, dtype=object))
+        assert grid.states.T.tolist() == expected.states.T.tolist()
+        for i, key in enumerate(keys):
+            assert grid.normal(i) == float(fresh_generator(seed, key).standard_normal())
+
+    @staticmethod
+    def noise_keys_by_path(seed, count=5):
+        """(trial, 1, 1) noise keys whose first word takes each ziggurat fallback."""
+        keys = [(trial, 1, 1) for trial in range(1 << 16)]
+        words = seed_draws(seed, keys).words
+        layer, rabs = words & 0xFF, words >> 9 & (2**52 - 1)
+        rejected = rabs >= streams._tables[1][layer]
+        paths = {
+            "tail": rejected & (layer == 0),
+            "layer 1": layer == 1,
+            "wedge": rejected & (layer > 1),
+        }
+        return {path: [keys[i] for i in np.flatnonzero(hit)[:count]] for path, hit in paths.items()}
+
+    def test_ziggurat_fallbacks_match_fresh_generators(self):
+        for path, keys in self.noise_keys_by_path(13).items():
+            assert len(keys) == 5, path
+            streams.grid_draws.cache_clear()
+            expected = [fresh_noise(13, *key) for key in keys]
+            assert [metric_noise(13, *key) for key in keys] == expected
+
+    def test_most_normals_take_the_first_word(self):
+        normals = seed_draws(3, [(trial, 7) for trial in range(20_000)]).normals
+        bounds = streams._tables[1][:256]
+        assert [idx for idx in range(256) if not bounds[idx]] == [1]  # ki is 0 in the top layer
+        assert np.isnan(normals).mean() < 0.02
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 7, 1000, 2**31 + 1, 2**32 - 1])
+    def test_lemire_rejections_fall_back(self, count):
+        # A zero low half leaves a remainder below count; 3 * 0xAAAAAAAB is 1 mod 2**32.
+        words = [0, 0xFFFFFFFF_00000000, 0xAAAAAAAB, 2**64 - 1, 2**63 | 5]
+        draws = crafted_draws(words)
+        got = [draws.integers(i, count) for i in range(len(words))]
+        assert got == [int(generator_with(row).integers(count)) for row in draws.states.T.tolist()]
+
+    def test_lemire_rejection_draws_again(self):
+        # numpy rejects the low half 0 for 3 options and takes the high half: 2, not 0.
+        assert crafted_draws([0xFFFFFFFF_00000000]).integers(0, 3) == 2
+
+    def test_one_option_choice(self):
+        space = SearchSpace(
+            (
+                ParamSpec("rounds", ParamKind.LOG_UNIFORM_INT, 4, 64, iteration_axis=True),
+                ParamSpec("only", ParamKind.CHOICE, choices=("x",)),
+            )
+        )
+        expected = [fresh_sample(space, 2, i) for i in range(130)]
+        assert [sample(space, 2, i) for i in range(130)] == expected
+        assert crafted_draws([0, 2**64 - 1]).integers(0, 1) == 0
+
+    def test_log_uniform_int_at_either_bound(self):
+        # exp(log(5)) < 5 rounds the lowest draw down to 4, clamped up to 5; the
+        # highest draw of [5, 6] rounds up to 6 itself.
+        spec = ParamSpec("width", ParamKind.LOG_UNIFORM_INT, 5, 6)
+        draws = crafted_draws([0, 2**64 - 1])
+        got = [search_space._sample_param(spec, draws, i) for i in range(2)]
+        assert got == [fresh_param(spec, generator_with(row)) for row in draws.states.T.tolist()]
+        assert got == [5, 6]
+
+    def test_table_guard_names_numpy_version(self, monkeypatch):
+        recover = streams._recover_tables
+
+        def off_by_one_ulp():
+            wi, bounds = recover()
+            wi[77] = math.nextafter(wi[77], 1.0)
+            return wi, bounds
+
+        monkeypatch.setattr(streams, "_tables", None)
+        monkeypatch.setattr(streams, "_recover_tables", off_by_one_ulp)
+        with pytest.raises(RuntimeError, match=f"numpy {np.__version__}"):
+            seed_draws(0, [(1, 2)])
+
+    def test_loading_a_config_builds_no_tables(self):
+        code = (
+            "import sys\n"
+            "from ace_hpo import streams\n"
+            "from ace_hpo.cli import load_config\n"
+            "load_config(sys.argv[1])\n"
+            "assert streams._tables is None and streams._generator is None\n"
+            "assert 'numpy.random' not in sys.modules\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+        config = REPO / "configs" / "ordering_experiment.json"
+        proc = subprocess.run(
+            [sys.executable, "-c", code, str(config)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestMetricNoise:
@@ -116,7 +294,7 @@ class TestMetricNoise:
 
     def test_matches_fresh_generator_forward_and_reversed(self):
         for keys in (self.EDGE_KEYS, self.EDGE_KEYS[::-1]):
-            streams.grid_states.cache_clear()
+            streams.grid_draws.cache_clear()
             assert [metric_noise(*key) for key in keys] == [fresh_noise(*key) for key in keys]
 
     @settings(max_examples=60, deadline=None)
@@ -139,7 +317,7 @@ class TestMetricNoise:
         first = [metric_noise(0, trial, 3, 1) for trial in range(0, 600, 37)]
         for block in range(40):
             metric_noise(1, block * 512, 1, 0)
-        info = streams.grid_states.cache_info()
+        info = streams.grid_draws.cache_info()
         assert info.currsize <= info.maxsize
         assert [metric_noise(0, trial, 3, 1) for trial in range(0, 600, 37)] == first
 
@@ -176,7 +354,7 @@ class TestBounds:
             metric_noise(11, trial, 1, trial % 2)
         for index in range(0, 20_000, 5):
             sample(space, 11, index)
-        info = streams.grid_states.cache_info()
+        info = streams.grid_draws.cache_info()
         assert info.currsize <= info.maxsize
 
     def test_scan_states_match_fresh_draws_and_are_dropped(self, monkeypatch):
@@ -187,16 +365,16 @@ class TestBounds:
         tile_lookups = []
 
         def scan(*args):
-            before = streams.grid_states.cache_info()
+            before = streams.grid_draws.cache_info()
             result = post_hoc_feasibility_scan(*args)
-            after = streams.grid_states.cache_info()
+            after = streams.grid_draws.cache_info()
             tile_lookups.append(after.hits + after.misses - before.hits - before.misses)
             return result
 
         monkeypatch.setattr(simulate, "post_hoc_feasibility_scan", scan)
         result = run_experiment(problem, asha, budget=3000.0, max_concurrent=4, seed=0)
         assert tile_lookups == [0]  # the scan derives its own states
-        assert simulate._scan_states == {}
+        assert simulate._scan_draws == {}
         assert result.scan.evaluations > simulate._TILE_KEYS
         for record in result.history.records[-result.scan.evaluations :]:
             curve = problem.curve_for(sample(problem.space, 0, record.trial_id))
