@@ -1,4 +1,4 @@
-"""Command-line front end: run experiments, emit cost curves and sweeps.
+"""Command-line front end: run experiments and emit cost curves.
 
 Subcommands:
 
@@ -8,8 +8,6 @@ Subcommands:
                        table in CSV and text form; prints the text table.
 ``cost-curve``         emits closed-form expected-cost sweeps over the
                        evaluation interval as plot-ready CSV.
-``truncation-sweep``   reruns the adaptive scheduler at several truncation
-                       percentages on identical candidate streams.
 ``validate-theorem``   drives the randomized brute-force sweeps and prints
                        pass/fail counts.
 
@@ -55,7 +53,6 @@ from .simulate import (
     PRESET_NAMES,
     ProblemSpec,
     RunResult,
-    SyntheticProblem,
     make_problem,
     problem_spec,
     run_experiment,
@@ -304,10 +301,6 @@ def _write_run_files(out_dir: Path, arm: str, seed: int, result: RunResult) -> N
         _write_csv(out_dir / f"{arm}_seed{seed}_{table}.csv", header, cells)
 
 
-def _per_seed_record(seed: int, result: RunResult) -> dict:
-    return {"seed": seed, **{field: getattr(result, field) for field in SUMMARY_FIELDS}}
-
-
 def _mean_std(values: Sequence[float]) -> tuple[float | None, float | None]:
     """Mean and sample (n-1) standard deviation; std is 0.0 for one value."""
     if not values:
@@ -339,14 +332,13 @@ def _aggregate(per_seed: list[dict]) -> dict:
     }
 
 
-def _resolve_output_dir(flag_value: str | None, config: dict | None) -> Path:
-    if flag_value:
-        return Path(flag_value)
-    env = os.environ.get(ENV_OUTPUT_DIR)
-    if env:
-        return Path(env)
-    if config and "output_dir" in config:
-        return Path(config["output_dir"])
+def _resolve_output_dir(flag_value: str | None, config: dict) -> Path:
+    """Flag over environment over config over ``./results``; an empty variable is unset."""
+    if flag_value == "":
+        raise _error("--output-dir", "must not be empty")
+    for value in (flag_value, os.environ.get(ENV_OUTPUT_DIR), config.get("output_dir")):
+        if value:
+            return Path(value)
     return Path(DEFAULT_OUTPUT_DIR)
 
 
@@ -356,24 +348,15 @@ def _plus_minus(mean: float | None, std: float | None) -> str:
     return f"{mean:.6g} ± {std:.6g}"
 
 
-def _set_up(
-    args: argparse.Namespace,
-) -> tuple[dict, SearchSpace, Path, dict[int, SyntheticProblem], float, int]:
-    """Set-up shared by ``run`` and ``truncation-sweep``: the checked config, its
-    space, the created output directory, one calibrated problem per seed
-    (``--seed`` wins; every arm shares it, nothing mutates it), the budget
-    and ``max_concurrent``."""
+def cmd_run(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     seeds = _seeds(args.seed, "--seed") if args.seed else config["seeds"]
     preset, overrides, space = _problem(config)
     out_dir = _resolve_output_dir(args.output_dir, config)
     out_dir.mkdir(parents=True, exist_ok=True)
+    # One calibrated problem per seed; every arm shares it and nothing mutates it.
     problems = {seed: make_problem(preset, seed, **overrides) for seed in seeds}
-    return config, space, out_dir, problems, float(config["budget"]), int(config["max_concurrent"])
-
-
-def cmd_run(args: argparse.Namespace) -> int:
-    config, space, out_dir, problems, budget, max_concurrent = _set_up(args)
+    budget, max_concurrent = float(config["budget"]), int(config["max_concurrent"])
     summary_rows: list[tuple] = []
     arm_summaries: list[dict] = []
     for arm in config["arms"]:
@@ -384,9 +367,9 @@ def cmd_run(args: argparse.Namespace) -> int:
         for seed in problems:
             result = run_experiment(problems[seed], factory, budget, max_concurrent, seed)
             _write_run_files(out_dir, name, seed, result)
-            record = _per_seed_record(seed, result)
+            record = {"seed": seed, **{f: getattr(result, f) for f in SUMMARY_FIELDS}}
             per_seed.append(record)
-            summary_rows.append((name, seed, *(record[f] for f in SUMMARY_FIELDS)))
+            summary_rows.append((name, *record.values()))
         summary = {
             "arm": name,
             "scheduler": arm["scheduler"],
@@ -476,30 +459,6 @@ def cmd_cost_curve(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_truncation_sweep(args: argparse.Namespace) -> int:
-    percentages = args.percentage or [0.03, 0.13, 0.25, 0.5, 0.75]
-    if len(set(percentages)) < len(percentages):
-        raise _error("--percentage", f"duplicate percentages in {percentages}")
-    aces = [_build(AceConfig, {"truncation_percentage": p}, "--percentage") for p in percentages]
-    _, _, out_dir, problems, budget, max_concurrent = _set_up(args)
-    rows = []
-    for pct, ace in zip(percentages, aces):
-        factory = functools.partial(AceScheduler, ace)
-        per_seed = []
-        for seed in problems:
-            result = run_experiment(problems[seed], factory, budget, max_concurrent, seed)
-            per_seed.append(_per_seed_record(seed, result))
-        aggregate = _aggregate(per_seed)
-        rows.append((pct, aggregate["best_feasible_score_mean"], aggregate["total_trials_mean"]))
-    _write_csv(
-        out_dir / "truncation_sweep.csv",
-        ("truncation_percentage", "mean_best_feasible_score", "mean_total_trials"),
-        rows,
-    )
-    print(f"wrote {len(rows)} rows to {out_dir / 'truncation_sweep.csv'}")
-    return 0
-
-
 def cmd_validate_theorem(args: argparse.Namespace) -> int:
     seed = _seeds([args.seed], "--seed")[0]
     try:
@@ -557,18 +516,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     curve_p.add_argument("--output", default="cost_curve.csv")
     curve_p.set_defaults(func=cmd_cost_curve)
-
-    sweep_p = sub.add_parser(
-        "truncation-sweep", help="rerun the adaptive scheduler over truncation percentages"
-    )
-    sweep_p.add_argument("config", help="path to a JSON experiment config")
-    sweep_p.add_argument(
-        "--percentage", action="append", type=float, default=None,
-        help="truncation percentage to include; repeatable",
-    )
-    sweep_p.add_argument("--output-dir", default=None)
-    sweep_p.add_argument("--seed", action="append", type=int, default=None)
-    sweep_p.set_defaults(func=cmd_truncation_sweep)
 
     validate_p = sub.add_parser(
         "validate-theorem", help="run the randomized cost-model verification sweeps"

@@ -63,6 +63,11 @@ class ParamSpec:
         elif self.kind is ParamKind.CHOICE:
             if not self.choices:
                 raise ValueError(f"{self.name}: choice parameter needs at least one option")
+            # A choice's position places it on the landscape, and index() finds
+            # only the first of equal copies. Pairwise: choices may be unhashable.
+            for i, choice in enumerate(self.choices):
+                if self.choices.index(choice) != i:
+                    raise ValueError(f"{self.name}: choices must be distinct; {choice!r} repeats")
         if self.iteration_axis and not self._is_integer_kind():
             raise ValueError(f"{self.name}: the iteration axis must be integer-valued")
 

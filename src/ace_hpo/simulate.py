@@ -24,7 +24,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .history import ConstraintSpec, CostLedger, RunningHistory, TrialSnapshot
-from .schedulers import Action, ScanResult, TrialScheduler, post_hoc_feasibility_scan
+from .schedulers import Action, TrialScheduler, post_hoc_feasibility_scan
 from .search_space import (
     Configuration,
     ParamKind,
@@ -476,17 +476,16 @@ class RunResult:
     """Everything one run produced; file emission happens in the CLI layer.
 
     Per-checkpoint data lives only in ``history.records``, one record per
-    training-loop checkpoint followed by one per post-hoc scan evaluation;
-    per-trial data only in ``history.trials``, in trial-id order. Everything
-    else is derived from those rows, the ledger and the incumbent. The
+    training-loop checkpoint followed by one per post-hoc scan evaluation
+    (the only records without an action); per-trial data only in
+    ``history.trials``, in trial-id order. Everything else is derived from
+    those rows, the ledger and the incumbent; the budget is the caller's. The
     properties are the summary columns; any other fact is read from its
     home: cost totals by kind from ``history.ledger``, the internally
     minimized incumbent from ``history.best_feasible_score``.
     """
 
     problem: SyntheticProblem
-    budget: float
-    scan: ScanResult | None
     history: RunningHistory
 
     @property
@@ -647,7 +646,6 @@ def run_experiment(
         heapq.heappush(heap, (slot.virtual_time, seq, slot))
         seq += 1
 
-    scan: ScanResult | None = None
     if not scheduler.performs_constraint_evaluations:
         ranked = sorted(history.trials, key=lambda r: (r.best_opt, r.trial_id))
         candidates = [
@@ -660,10 +658,10 @@ def run_experiment(
             )
 
         try:
-            scan = post_hoc_feasibility_scan(
+            post_hoc_feasibility_scan(
                 history, _pin_scan_draws(problem.problem_seed, candidates), scan_eval
             )
         finally:
             _scan_draws.clear()
 
-    return RunResult(problem, budget, scan, history)
+    return RunResult(problem, history)

@@ -143,7 +143,12 @@ class TestConfigValidation:
             (_overrides(rate_param="nope"), "rate_param"),
             ({"space": {"params": [_AXIS, dict(_AXIS, name="epochs")]}}, "iteration_axis"),
             ({"space": {"params": [dict(_AXIS, kind="choice", choices=[True, 4])]}}, "steps"),
+            # index() would map the second 32 onto the first one's position.
+            ({"space": {"params": [dict(_AXIS, kind="choice", choices=[32, 64, 32])]}}, "distinct"),
             ({"seeds": [1.0]}, "seeds"),
+            # A sweep arm's P must lie strictly inside (0, 1).
+            ({"arms": [_arm("ace", truncation_percentage=0)]}, "truncation_percentage"),
+            ({"arms": [_arm("ace", truncation_percentage=1.5)]}, "1.5"),
             # Each arm and seed names output files and counts once in the aggregates.
             ({"arms": [_arm("ace"), _arm("ace")]}, "duplicate"),
             ({"seeds": [0, 0]}, "duplicate"),
@@ -238,6 +243,25 @@ def test_full_config_loads(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(_FULL_CONFIG), encoding="utf-8")
     assert load_config(path) == _FULL_CONFIG
+
+
+@pytest.mark.parametrize("path", sorted((REPO / "configs").glob("*.json")), ids=lambda p: p.name)
+def test_shipped_config_loads(path):
+    load_config(path)
+
+
+def test_truncation_sweep_config_varies_only_the_percentage():
+    """The sweep is ``run`` over ace arms that differ only in P, on the ordering
+    experiment's problem, budget, concurrency and seeds."""
+    sweep = load_config(REPO / "configs" / "truncation_sweep.json")
+    ordering = load_config(REPO / "configs" / "ordering_experiment.json")
+    shared = ("problem", "space", "budget", "max_concurrent", "seeds")
+    assert {k: sweep.get(k) for k in shared} == {k: ordering.get(k) for k in shared}
+    arms = sweep["arms"]
+    assert all(arm["scheduler"] == "ace" and list(arm["params"]) == ["truncation_percentage"]
+               for arm in arms)
+    percentages = [arm["params"]["truncation_percentage"] for arm in arms]
+    assert sorted(percentages) == [0.03, 0.13, 0.25, 0.5, 0.75]
 
 
 @settings(
@@ -339,6 +363,39 @@ class TestRunCommand:
         ) == 0
         assert (tmp_path / "from_flag" / "summary.csv").exists()
         assert not (tmp_path / "from_env").exists()
+
+    def test_empty_output_dir_flag_rejected_before_any_output(self, tmp_path, capsys):
+        config_path = tmp_path / "config.json"
+        write_config(config_path, output_dir=str(tmp_path / "out"))
+        assert main(["run", str(config_path), "--output-dir", ""]) == 2
+        captured = capsys.readouterr()
+        assert "--output-dir" in captured.err and captured.out == ""
+        assert not (tmp_path / "out").exists()
+
+    def test_sweep_arms_report_each_percentage(self, tmp_path, capsys):
+        """A P sweep is a run over ace arms that differ only in P: each arm's
+        summary records its P and its means, and the table prints them."""
+        path = tmp_path / "config.json"
+        arms = [
+            {"name": name, "scheduler": "ace", "params": {"truncation_percentage": pct}}
+            for name, pct in (("p13", 0.13), ("p50", 0.5))
+        ]
+        write_config(path, budget=700.0, output_dir=str(tmp_path / "out"), arms=arms)
+        assert main(["run", str(path)]) == 0
+        out = capsys.readouterr().out
+        scores = []
+        for name, pct in (("p13", 0.13), ("p50", 0.5)):
+            summary = json.loads((tmp_path / "out" / f"{name}_summary.json").read_text())
+            assert summary["params"] == {"truncation_percentage": pct}
+            aggregate = summary["aggregate"]
+            score = aggregate["best_feasible_score_mean"]
+            scores.append(score)
+            assert aggregate["total_trials_mean"] > 0
+            row = next(line for line in out.splitlines() if line.startswith(f"{name} "))
+            # An arm that found nothing in any seed has a null mean, printed as n/a.
+            assert row.split()[1] == ("n/a" if score is None else format(score, ".6g"))
+            assert format(aggregate["total_trials_mean"], ".6g") in row
+        assert scores[0] is None and scores[1] is not None
 
     def test_summary_aggregates_recomputable_from_per_seed_rows(self, tmp_path):
         config_path = tmp_path / "config.json"
@@ -552,9 +609,8 @@ def test_no_written_csv_cell_needs_quoting(tmp_path):
     )
     assert main(["run", str(config_path), "--output-dir", str(tmp_path / "run")]) == 0
     assert main(["cost-curve", "--output", str(tmp_path / "curve" / "cost_curve.csv")]) == 0
-    assert main(["truncation-sweep", str(config_path), "--output-dir", str(tmp_path / "sweep")]) == 0
     paths = sorted(tmp_path.glob("*/*.csv"))
-    assert len(paths) == 4 * 3 + 1 + 1 + 1
+    assert len(paths) == 4 * 3 + 1 + 1
     for path in paths:
         lines = _lines(path)
         assert lines and all(line.endswith("\r\n") for line in lines), path
@@ -603,71 +659,6 @@ class TestCostCurveCommand:
         rows = read_csv(out)
         assert len(rows) == 8
         assert {r["max_iterations"] for r in rows} == {"8"}
-
-
-class TestTruncationSweepCommand:
-    def test_emits_one_row_per_percentage(self, tmp_path):
-        config_path = tmp_path / "config.json"
-        write_config(
-            config_path, seeds=[0], budget=700.0, output_dir=str(tmp_path / "out")
-        )
-        assert main(
-            ["truncation-sweep", str(config_path),
-             "--percentage", "0.13", "--percentage", "0.25"]
-        ) == 0
-        rows = read_csv(tmp_path / "out" / "truncation_sweep.csv")
-        assert [r["truncation_percentage"] for r in rows] == ["0.13", "0.25"]
-        for row in rows:
-            assert float(row["mean_total_trials"]) > 0
-
-    def test_rejects_percentage_outside_unit_interval(self, tmp_path, capsys):
-        config_path = tmp_path / "config.json"
-        write_config(config_path, output_dir=str(tmp_path / "out"))
-        code = main(["truncation-sweep", str(config_path), "--percentage", "1.5"])
-        assert code == 2
-        assert "1.5" in capsys.readouterr().err
-
-    def test_rows_equal_run_aggregates(self, tmp_path):
-        path = tmp_path / "config.json"
-        write_config(path, budget=700.0, output_dir=str(tmp_path / "sweep"))
-        sweep = ["truncation-sweep", str(path), "--percentage", "0.13", "--percentage", "0.5"]
-        assert main(sweep) == 0
-        arms = [
-            {"name": name, "scheduler": "ace", "params": {"truncation_percentage": pct}}
-            for name, pct in (("p13", 0.13), ("p50", 0.5))
-        ]
-        write_config(path, budget=700.0, output_dir=str(tmp_path / "run"), arms=arms)
-        assert main(["run", str(path)]) == 0
-        rows = read_csv(tmp_path / "sweep" / "truncation_sweep.csv")
-        assert len(rows) == 2
-        scores = []
-        for row, arm in zip(rows, ("p13", "p50")):
-            summary = json.loads((tmp_path / "run" / f"{arm}_summary.json").read_text())
-            aggregate = summary["aggregate"]
-            score = aggregate["best_feasible_score_mean"]
-            scores.append(score)
-            # An arm that found nothing in any seed has a null mean and an empty cell.
-            assert row["mean_best_feasible_score"] == ("" if score is None else format(score, ".17g"))
-            assert row["mean_total_trials"] == format(aggregate["total_trials_mean"], ".17g")
-        assert scores[0] is None and scores[1] is not None
-
-    def test_percentage_checked_before_any_output(self, tmp_path, capsys):
-        config_path = tmp_path / "config.json"
-        write_config(config_path, output_dir=str(tmp_path / "out"))
-        code = main(["truncation-sweep", str(config_path), "--percentage", "0"])
-        assert code == 2
-        assert "--percentage" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
-
-    def test_repeated_percentage_rejected_before_any_output(self, tmp_path, capsys):
-        config_path = tmp_path / "config.json"
-        write_config(config_path, output_dir=str(tmp_path / "out"))
-        repeated = ["--percentage", "0.25", "--percentage", "0.25"]
-        assert main(["truncation-sweep", str(config_path), *repeated]) == 2
-        captured = capsys.readouterr()
-        assert "--percentage" in captured.err and "duplicate" in captured.err
-        assert captured.out == ""
-        assert not (tmp_path / "out").exists()
 
 
 class TestValidateTheoremCommand:

@@ -90,6 +90,9 @@ def test_space_validation_errors():
         ParamSpec("x", ParamKind.LOG_UNIFORM_REAL, 0.0, 1.0)
     with pytest.raises(ValueError):
         ParamSpec("x", ParamKind.CHOICE, choices=())
+    for repeated in ((32, 64, 32), ([1], [2], [1]), (1, 1.0)):  # lists are unhashable
+        with pytest.raises(ValueError, match="distinct"):
+            ParamSpec("x", ParamKind.CHOICE, choices=repeated)
     with pytest.raises(ValueError):
         ParamSpec("x", ParamKind.UNIFORM_REAL, 0.0, 1.0, iteration_axis=True)
     with pytest.raises(ValueError):

@@ -265,8 +265,9 @@ class TestRunExperiment:
             max_concurrent=2,
             seed=6,
         )
-        assert agnostic.scan is not None
-        assert aware.scan is None
+        # Only post-hoc scan records have no action.
+        assert any(r.action is None for r in agnostic.history.records)
+        assert all(r.action is not None for r in aware.history.records)
 
     def test_scan_certification_time_exceeds_budget(self):
         problem = make_problem("fairness-like", problem_seed=2)
@@ -275,8 +276,9 @@ class TestRunExperiment:
         )
         assert result.feasible_found
         assert result.time_to_best is not None
-        assert result.time_to_best >= result.budget
-        assert result.constraint_evaluations == result.scan.evaluations
+        assert result.time_to_best >= 1500.0
+        scan = [r for r in result.history.records if r.action is None]
+        assert result.constraint_evaluations == len(scan)
 
     def test_one_record_per_checkpoint(self):
         history = RunningHistory(ConstraintSpec(0.25))
@@ -295,12 +297,11 @@ class TestRunExperiment:
         result = run_experiment(
             problem, NoStoppingScheduler, budget=1500.0, max_concurrent=2, seed=2
         )
-        n_scan = result.scan.evaluations
-        loop, scan = result.history.records[:-n_scan], result.history.records[-n_scan:]
-        assert len(loop) == result.primary_iterations
-        assert all(r.action is not None for r in loop)
+        n_loop = result.primary_iterations
+        loop, scan = result.history.records[:n_loop], result.history.records[n_loop:]
+        assert scan and all(r.action is not None for r in loop)
         assert all(r.action is None and r.evaluate_constraint for r in scan)
-        assert all(r.sim_time > result.budget for r in scan)
+        assert all(r.sim_time > 1500.0 for r in scan)
 
     def test_reported_score_is_unnegated_for_maximize(self):
         problem = make_problem("fairness-like", problem_seed=0)
@@ -341,7 +342,7 @@ class TestRunExperiment:
             seed=8,
         )
         assert result.total_trials > 0
-        assert result.scan is not None
+        assert any(r.action is None for r in result.history.records)
         ranked = [r for r in result.history.records if r.rank is not None]
         assert ranked
         assert all(r.iteration in (1, 4, 16, 64) for r in ranked)
@@ -386,7 +387,7 @@ class TestRunExperiment:
         ledger, records = result.history.ledger, result.history.records
         assert result.total_cost == ledger.total_primary_cost + ledger.total_constraint_cost
         assert records[-1].sim_time == result.total_cost
-        scan_evaluations = result.scan.evaluations if result.scan else 0
+        scan_evaluations = sum(1 for r in records if r.action is None)
         assert len(records) == result.primary_iterations + scan_evaluations
 
     def test_invalid_arguments(self):
@@ -416,6 +417,16 @@ class TestProblems:
                 feasible += 1
         fraction = feasible / SyntheticProblem.PROBE_COUNT
         assert abs(fraction - 0.15) <= 0.03
+
+    @pytest.mark.parametrize("preset, ratio", [("fairness-like", 1.94), ("robustness-like", 23.98)])
+    def test_every_curve_takes_the_spec_costs(self, preset, ratio):
+        # So a run's constraint-to-primary cost ratio is the spec's own.
+        problem = make_problem(preset, problem_seed=0)
+        assert problem.spec.constraint_cost / problem.spec.primary_cost == ratio
+        for config in (sample(problem.space, 5, i) for i in range(20)):
+            curve = problem.curve_for(config)
+            assert curve.primary_cost == problem.spec.primary_cost
+            assert curve.constraint_cost == problem.spec.constraint_cost
 
     def test_curves_deterministic_per_config(self):
         problem = make_problem("robustness-like", problem_seed=1)

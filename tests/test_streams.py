@@ -375,8 +375,9 @@ class TestBounds:
         result = run_experiment(problem, asha, budget=3000.0, max_concurrent=4, seed=0)
         assert tile_lookups == [0]  # the scan derives its own states
         assert simulate._scan_draws == {}
-        assert result.scan.evaluations > simulate._TILE_KEYS
-        for record in result.history.records[-result.scan.evaluations :]:
+        scan = [r for r in result.history.records if r.action is None]
+        assert len(scan) > simulate._TILE_KEYS
+        for record in scan:
             curve = problem.curve_for(sample(problem.space, 0, record.trial_id))
             noise = fresh_noise(0, record.trial_id, record.iteration, 1)
             level = constraint_curve_value(curve, record.iteration)
