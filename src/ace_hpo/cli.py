@@ -14,9 +14,8 @@ Subcommands:
 A CSV cell is written by the rule for its exact type (floats with 17
 significant digits, true/false, empty for None, enums by value); no cell is
 quoted, lines end in CRLF, and reruns of the same config produce
-byte-identical files. The output directory resolves in order:
-``--output-dir`` flag, ``ACE_HPO_OUTPUT_DIR`` environment variable, the
-config's ``output_dir`` key, then ``./results``.
+byte-identical files. The output directory is the ``--output-dir`` flag,
+else the config's ``output_dir`` key, else ``./results``.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ import dataclasses
 import functools
 import json
 import operator
-import os
 import re
 import statistics
 import sys
@@ -61,7 +59,6 @@ from .validate import closed_form_equivalence_sweep, endpoint_optimality_sweep
 
 __all__ = ["main", "load_config"]
 
-ENV_OUTPUT_DIR = "ACE_HPO_OUTPUT_DIR"
 DEFAULT_OUTPUT_DIR = "results"
 
 SCHEDULER_KINDS = ("ace", "asha", "asha_callback", "no_stopping")
@@ -333,13 +330,10 @@ def _aggregate(per_seed: list[dict]) -> dict:
 
 
 def _resolve_output_dir(flag_value: str | None, config: dict) -> Path:
-    """Flag over environment over config over ``./results``; an empty variable is unset."""
+    """Flag over config over ``./results``."""
     if flag_value == "":
         raise _error("--output-dir", "must not be empty")
-    for value in (flag_value, os.environ.get(ENV_OUTPUT_DIR), config.get("output_dir")):
-        if value:
-            return Path(value)
-    return Path(DEFAULT_OUTPUT_DIR)
+    return Path(flag_value or config.get("output_dir") or DEFAULT_OUTPUT_DIR)
 
 
 def _plus_minus(mean: float | None, std: float | None) -> str:
@@ -424,13 +418,9 @@ _COST_CURVE_FLAGS = {
 
 def cmd_cost_curve(args: argparse.Namespace) -> int:
     p = args.stop_probability
-    sweeps: list[tuple[float, int]] = []
-    if args.ratio and args.iterations:
-        sweeps = [(r, t) for r in args.ratio for t in args.iterations]
-    elif args.ratio:
-        sweeps = [(r, 16) for r in args.ratio]
-    elif args.iterations:
-        sweeps = [(20.0, t) for t in args.iterations]
+    if args.ratio or args.iterations:
+        # Every ratio x horizon pair; a flag left out keeps the ratio 20 or horizon 16.
+        sweeps = [(r, t) for r in args.ratio or [20.0] for t in args.iterations or [16]]
     else:
         # Both canonical figures: fixed ratio over doubling horizons, then a
         # fixed horizon over powers-of-two ratios.

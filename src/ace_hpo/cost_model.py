@@ -121,18 +121,23 @@ def cost_ratio_threshold(stop_probability: float, max_iterations: int) -> float:
     return (p * max_iterations + qt - 1.0) / (1.0 - p - qt)
 
 
-def choose_interval(cost_ratio: float, stop_probability: float, max_iterations: int) -> int:
-    """Pick the expected-cost-optimal evaluation interval: 1 or max_iterations.
-
-    Returns max_iterations when the cost ratio exactly equals the threshold
-    (a single final check never loses there).
-    """
+def _check_interval_args(cost_ratio: float, stop_probability: float, max_iterations: int) -> None:
+    """The arguments the interval rule and its brute-force check share."""
     if cost_ratio < 0:
         raise ValueError("cost_ratio must be nonnegative")
     if max_iterations < 1:
         raise ValueError("max_iterations must be a positive integer")
     if not 0.0 < stop_probability <= 1.0:
         raise ValueError("stop_probability must be in (0, 1]")
+
+
+def choose_interval(cost_ratio: float, stop_probability: float, max_iterations: int) -> int:
+    """Pick the expected-cost-optimal evaluation interval: 1 or max_iterations.
+
+    Returns max_iterations when the cost ratio exactly equals the threshold
+    (a single final check never loses there).
+    """
+    _check_interval_args(cost_ratio, stop_probability, max_iterations)
     if max_iterations == 1:
         return 1
     if stop_probability == 1.0:
@@ -155,12 +160,7 @@ def brute_force_optimal_interval(
     closed form at each interval and returns (argmin, min cost), keeping
     the smallest interval on ties within 1e-12 relative cost.
     """
-    if cost_ratio < 0:
-        raise ValueError("cost_ratio must be nonnegative")
-    if max_iterations < 1:
-        raise ValueError("max_iterations must be a positive integer")
-    if not 0.0 < stop_probability <= 1.0:
-        raise ValueError("stop_probability must be in (0, 1]")
+    _check_interval_args(cost_ratio, stop_probability, max_iterations)
     if not primary_cost_per_iter > 0:
         raise ValueError("primary_cost_per_iter must be positive")
     best_interval = 1

@@ -32,7 +32,7 @@ from .search_space import (
     SearchSpace,
     sample,
 )
-from .streams import Draws, grid_draws, seed_draws
+from .streams import grid_draws, seed_draws
 
 __all__ = [
     "TrialCurve",
@@ -133,22 +133,16 @@ def _min_constraint_value(curve: TrialCurve) -> float:
 # A noise tile holds `span` iterations from `first` (a power of two below
 # _TILE_KEYS, else a multiple of it) for each of _TILE_KEYS // span trial ids.
 _TILE_KEYS = 512
-# The post-hoc scan's draws for its current chunk of candidates; empty outside it.
-_scan_draws: dict[tuple[int, int, int, int], tuple[Draws, int]] = {}
 
 
 def metric_noise(problem_seed: int, trial_id: int, iteration: int, tag: int) -> float:
-    """Standard normal draw keyed by position, independent of evaluation order: the first
+    """The standard normal an ``eval_*`` call takes, keyed by position alone: the first
     draw of ``PCG64(SeedSequence(problem_seed, spawn_key=(trial_id, iteration, tag)))``."""
-    found = _scan_draws.get((problem_seed, trial_id, iteration, tag)) if _scan_draws else None
-    if found is None:
-        span = min(1 << max(iteration.bit_length() - 1, 0), _TILE_KEYS)
-        width, first = _TILE_KEYS // span, iteration & -span
-        offset = trial_id % width
-        tile = grid_draws(problem_seed, trial_id - offset, width, first, span, (tag,))
-        found = tile, offset * span + iteration - first
-    draws, i = found
-    return draws.normal(i)
+    span = min(1 << max(iteration.bit_length() - 1, 0), _TILE_KEYS)
+    width, first = _TILE_KEYS // span, iteration & -span
+    offset = trial_id % width
+    tile = grid_draws(problem_seed, trial_id - offset, width, first, span, (tag,))
+    return tile.normal(offset * span + iteration - first)
 
 
 @dataclass
@@ -173,26 +167,20 @@ class CostMeter:
         self.ledger.add_constraint(cost)
 
 
-def eval_opt_metric(
-    curve: TrialCurve, t: int, problem_seed: int, trial_id: int, meter: CostMeter
-) -> float:
-    """Observed optimization metric at iteration t; charges the iteration cost."""
+def eval_opt_metric(curve: TrialCurve, t: int, normal: float, meter: CostMeter) -> float:
+    """Observed optimization metric at t given its standard normal draw; charges its cost."""
     if not 1 <= t <= curve.max_iterations:
         raise ValueError("iteration out of range")
     meter.charge_primary(curve.primary_cost)
-    noise = curve.opt_noise * metric_noise(problem_seed, trial_id, t, _OPT_TAG)
-    return opt_curve_value(curve, t) + noise
+    return opt_curve_value(curve, t) + curve.opt_noise * normal
 
 
-def eval_constraint_metric(
-    curve: TrialCurve, t: int, problem_seed: int, trial_id: int, meter: CostMeter
-) -> float:
-    """Observed constraint metric at iteration t; charges the evaluation cost."""
+def eval_constraint_metric(curve: TrialCurve, t: int, normal: float, meter: CostMeter) -> float:
+    """Observed constraint metric at t given its standard normal draw; charges its cost."""
     if not 1 <= t <= curve.max_iterations:
         raise ValueError("iteration out of range")
     meter.charge_constraint(curve.constraint_cost)
-    noise = curve.constraint_noise * metric_noise(problem_seed, trial_id, t, _CONSTRAINT_TAG)
-    return constraint_curve_value(curve, t) + noise
+    return constraint_curve_value(curve, t) + curve.constraint_noise * normal
 
 
 @dataclass(frozen=True)
@@ -292,10 +280,6 @@ class SyntheticProblem:
         self.spec = spec
         self.problem_seed = problem_seed
         self.constraint = ConstraintSpec(self._calibrated_threshold())
-
-    @property
-    def space(self) -> SearchSpace:
-        return self.spec.space
 
     def reported(self, internal: float) -> float:
         """Map an internally-minimized metric back to its reporting orientation."""
@@ -561,18 +545,14 @@ class _Slot:
     iteration: int = 0
 
 
-def _pin_scan_draws(
-    problem_seed: int, candidates: list[tuple[int, int, float]]
-) -> Iterator[tuple[int, int, float]]:
-    """The candidates, with each _TILE_KEYS-chunk's constraint-noise draws put in
-    ``_scan_draws`` as the scan reaches it: best-first order hits tiles at random."""
+def _scan_normals(problem_seed: int, candidates: list[tuple[int, int, float]]) -> Iterator[float]:
+    """Each candidate's constraint-noise draw, _TILE_KEYS at a time as the scan reaches
+    them (best-first order hits noise tiles at random). One draw per evaluation is exact:
+    :func:`post_hoc_feasibility_scan` evaluates each candidate once, in candidate order."""
     for start in range(0, len(candidates), _TILE_KEYS):
         chunk = candidates[start : start + _TILE_KEYS]
-        keys = [(trial_id, iteration, _CONSTRAINT_TAG) for trial_id, iteration, _ in chunk]
-        draws = seed_draws(problem_seed, keys)
-        _scan_draws.clear()
-        _scan_draws.update(((problem_seed, *key), (draws, i)) for i, key in enumerate(keys))
-        yield from chunk
+        draws = seed_draws(problem_seed, [(t_id, t, _CONSTRAINT_TAG) for t_id, t, _ in chunk])
+        yield from map(draws.normal, range(len(chunk)))
 
 
 def run_experiment(
@@ -599,12 +579,12 @@ def run_experiment(
     history = RunningHistory(problem.constraint)
     scheduler = scheduler_factory(history)
     meter = CostMeter(history.ledger)
-
+    problem_seed = problem.problem_seed
     curves: dict[int, TrialCurve] = {}
 
     def start_trial(slot: _Slot) -> None:
         trial_id = len(curves)
-        config = sample(problem.space, seed, trial_id)
+        config = sample(problem.spec.space, seed, trial_id)
         slot.curve = curves[trial_id] = problem.curve_for(config)
         slot.trial_id, slot.iteration = trial_id, 0
         scheduler.on_trial_start(trial_id, config.max_iterations)
@@ -613,14 +593,17 @@ def run_experiment(
         history.trial_snapshot(slot.trial_id).status = status
         slot.trial_id = None
 
+    # A slot that has never run is at time 0, ahead of every busy slot (primary_cost > 0),
+    # so each of the first max_concurrent turns taken while budget is left makes one.
     heap: list[tuple[float, int, _Slot]] = []
     seq = 0
-    for _ in range(max_concurrent):
-        heapq.heappush(heap, (0.0, seq, _Slot()))
-        seq += 1
-
-    while heap:
-        _, _, slot = heapq.heappop(heap)
+    while True:
+        if seq < max_concurrent and meter.clock < budget:
+            slot = _Slot()
+        elif heap:
+            _, _, slot = heapq.heappop(heap)
+        else:
+            break
         if meter.clock >= budget:
             if slot.trial_id is not None:
                 finish_trial(slot, STATUS_BUDGET_TRUNCATED)
@@ -630,13 +613,13 @@ def run_experiment(
         slot.iteration += 1
         trial_id, t, curve = slot.trial_id, slot.iteration, slot.curve
 
-        opt = eval_opt_metric(curve, t, problem.problem_seed, trial_id, meter)
+        opt = eval_opt_metric(curve, t, metric_noise(problem_seed, trial_id, t, _OPT_TAG), meter)
         slot.virtual_time += curve.primary_cost
 
         def evaluate(trial_id=trial_id, t=t, curve=curve, slot=slot) -> float:
-            value = eval_constraint_metric(curve, t, problem.problem_seed, trial_id, meter)
             slot.virtual_time += curve.constraint_cost
-            return value
+            normal = metric_noise(problem_seed, trial_id, t, _CONSTRAINT_TAG)
+            return eval_constraint_metric(curve, t, normal, meter)
 
         record = scheduler.step(trial_id, t, curve.max_iterations, opt, evaluate)
         if t >= curve.max_iterations:
@@ -652,16 +635,11 @@ def run_experiment(
             (r.trial_id, r.best_iteration, r.best_opt) for r in ranked if r.best_iteration >= 1
         ]
 
-        def scan_eval(trial_id: int, iteration: int) -> float:
-            return eval_constraint_metric(
-                curves[trial_id], iteration, problem.problem_seed, trial_id, meter
-            )
+        normals = _scan_normals(problem_seed, candidates)
 
-        try:
-            post_hoc_feasibility_scan(
-                history, _pin_scan_draws(problem.problem_seed, candidates), scan_eval
-            )
-        finally:
-            _scan_draws.clear()
+        def scan_eval(trial_id: int, iteration: int) -> float:
+            return eval_constraint_metric(curves[trial_id], iteration, next(normals), meter)
+
+        post_hoc_feasibility_scan(history, candidates, scan_eval)
 
     return RunResult(problem, history)

@@ -347,21 +347,27 @@ class TestRunCommand:
         assert (out / "ace_seed5_trace.csv").exists()
         assert not (out / "ace_seed0_trace.csv").exists()
 
-    def test_env_var_sets_output_dir(self, tmp_path, monkeypatch):
+    def test_flag_beats_config_output_dir(self, tmp_path):
         config_path = tmp_path / "config.json"
-        write_config(config_path, seeds=[0], arms=[{"name": "ace", "scheduler": "ace"}])
-        monkeypatch.setenv("ACE_HPO_OUTPUT_DIR", str(tmp_path / "from_env"))
-        assert main(["run", str(config_path)]) == 0
-        assert (tmp_path / "from_env" / "summary.csv").exists()
-
-    def test_flag_beats_env_var(self, tmp_path, monkeypatch):
-        config_path = tmp_path / "config.json"
-        write_config(config_path, seeds=[0], arms=[{"name": "ace", "scheduler": "ace"}])
-        monkeypatch.setenv("ACE_HPO_OUTPUT_DIR", str(tmp_path / "from_env"))
+        write_config(
+            config_path, seeds=[0], arms=[{"name": "ace", "scheduler": "ace"}],
+            output_dir=str(tmp_path / "from_config"),
+        )
         assert main(
             ["run", str(config_path), "--output-dir", str(tmp_path / "from_flag")]
         ) == 0
         assert (tmp_path / "from_flag" / "summary.csv").exists()
+        assert not (tmp_path / "from_config").exists()
+
+    def test_output_dir_environment_variable_is_ignored(self, tmp_path, monkeypatch):
+        config_path = tmp_path / "config.json"
+        write_config(
+            config_path, seeds=[0], arms=[{"name": "ace", "scheduler": "ace"}],
+            output_dir=str(tmp_path / "from_config"),
+        )
+        monkeypatch.setenv("ACE_HPO_OUTPUT_DIR", str(tmp_path / "from_env"))
+        assert main(["run", str(config_path)]) == 0
+        assert (tmp_path / "from_config" / "summary.csv").exists()
         assert not (tmp_path / "from_env").exists()
 
     def test_empty_output_dir_flag_rejected_before_any_output(self, tmp_path, capsys):
@@ -652,13 +658,21 @@ class TestCostCurveCommand:
                 assert float(row["expected_cost"]) == expected
 
     def test_explicit_ratio_and_iterations(self, tmp_path):
+        # Either flag sweeps every ratio x horizon pair; one left out keeps 20 or 16.
         out = tmp_path / "curve.csv"
-        assert main(
-            ["cost-curve", "--ratio", "2.0", "--iterations", "8", "--output", str(out)]
-        ) == 0
-        rows = read_csv(out)
-        assert len(rows) == 8
-        assert {r["max_iterations"] for r in rows} == {"8"}
+        for flags, pairs in (
+            (["--ratio", "2.0", "--iterations", "8", "--iterations", "4"], [(2.0, 8), (2.0, 4)]),
+            (["--ratio", "2.0", "--ratio", "0.5"], [(2.0, 16), (0.5, 16)]),
+            (["--iterations", "8"], [(20.0, 8)]),
+        ):
+            assert main(["cost-curve", *flags, "--output", str(out)]) == 0
+            rows = read_csv(out)
+            expected = [(r, t, i) for r, t in pairs for i in range(1, t + 1)]
+            got = [
+                (float(row["cost_ratio"]), int(row["max_iterations"]), int(row["interval"]))
+                for row in rows
+            ]
+            assert got == expected, flags
 
 
 class TestValidateTheoremCommand:

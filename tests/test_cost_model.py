@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -113,6 +114,21 @@ def test_brute_force_hand_cases():
     # T = 1: the only interval is 1 and the cost is (r + 1) * (1 - 0.7) / 0.3 = 8.
     assert brute_force_optimal_interval(7.0, 0.3, 1) == (1, pytest.approx(8.0))
 
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((-1.0, 0.5, 16), "cost_ratio must be nonnegative"),
+        ((1.0, 0.5, 0), "max_iterations must be a positive integer"),
+        ((1.0, 0.0, 16), "stop_probability must be in (0, 1]"),
+        ((1.0, 1.5, 16), "stop_probability must be in (0, 1]"),
+    ],
+)
+def test_interval_rule_and_brute_force_reject_the_same_arguments(args, message):
+    for rule in (choose_interval, brute_force_optimal_interval):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            rule(*args)
 
 @settings(max_examples=300, deadline=None)
 @given(

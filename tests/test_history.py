@@ -140,22 +140,6 @@ def test_ledger_ratio():
         ledger.add_primary(-1.0)
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.tuples(st.floats(0.0, 1.0), st.one_of(st.none(), st.floats(0.0, 1.0))), max_size=40))
-def test_best_feasible_is_monotone_nonincreasing(stream):
-    history = RunningHistory(TAU)
-    previous = history.best_feasible_score
-    for i, (opt, value) in enumerate(stream):
-        history.record_checkpoint(TAU.classify(1 + i % 5, 1 + i // 5, opt, value))
-        assert history.best_feasible_score <= previous
-        previous = history.best_feasible_score
-    valid_opts = [opt for opt, value in stream if value is not None and value <= TAU.threshold]
-    if valid_opts:
-        assert history.best_feasible_score == min(valid_opts)
-    else:
-        assert history.best_feasible_score == math.inf
-
-
 @settings(max_examples=100, deadline=None)
 @given(st.floats(0.1, 10.0), st.integers(1, 20), st.integers(1, 20))
 def test_ledger_ratio_scale_invariant(scale, n_primary, n_constraint):

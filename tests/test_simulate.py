@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -105,27 +106,19 @@ class TestMeteredEvaluation:
     def test_charges_once_per_call(self):
         meter = CostMeter(CostLedger())
         curve = flat_curve()
-        eval_opt_metric(curve, 3, 0, 0, meter)
+        eval_opt_metric(curve, 3, 0.0, meter)
         assert meter.ledger.primary_cost_count == 1
         assert meter.clock == pytest.approx(1.0)
-        eval_constraint_metric(curve, 3, 0, 0, meter)
+        eval_constraint_metric(curve, 3, 0.0, meter)
         assert meter.ledger.constraint_cost_count == 1
         assert meter.clock == pytest.approx(1.5)
-
-    def test_clock_equals_ledger_sums_exactly(self):
-        meter = CostMeter(CostLedger())
-        curve = flat_curve(primary_cost=0.1, constraint_cost=0.7)
-        for t in range(1, 12):
-            eval_opt_metric(curve, t, 0, 0, meter)
-            eval_constraint_metric(curve, t, 0, 0, meter)
-        assert meter.clock == meter.ledger.total_primary_cost + meter.ledger.total_constraint_cost
 
     def test_iteration_out_of_range(self):
         meter = CostMeter(CostLedger())
         with pytest.raises(ValueError):
-            eval_opt_metric(flat_curve(), 0, 0, 0, meter)
+            eval_opt_metric(flat_curve(), 0, 0.0, meter)
         with pytest.raises(ValueError):
-            eval_constraint_metric(flat_curve(), 17, 0, 0, meter)
+            eval_constraint_metric(flat_curve(), 17, 0.0, meter)
 
     @pytest.mark.parametrize("cost", [math.nan, math.inf, -math.inf, -1.0])
     def test_ledger_rejects_negative_and_nonfinite_costs(self, cost):
@@ -138,10 +131,11 @@ class TestMeteredEvaluation:
 
     def test_noisy_value_matches_components(self):
         meter = CostMeter(CostLedger())
-        curve = flat_curve(opt_noise=0.01)
-        value = eval_opt_metric(curve, 4, 11, 2, meter)
-        expected = opt_curve_value(curve, 4) + 0.01 * metric_noise(11, 2, 4, 0)
-        assert value == pytest.approx(expected, abs=1e-15)
+        curve = flat_curve(opt_noise=0.01, constraint_noise=0.02)
+        opt = eval_opt_metric(curve, 4, -1.5, meter)
+        assert opt == opt_curve_value(curve, 4) + 0.01 * -1.5
+        value = eval_constraint_metric(curve, 4, 0.75, meter)
+        assert value == constraint_curve_value(curve, 4) + 0.02 * 0.75
 
 
 def fixed_length_problem(constraint_cost=0.5, iterations=4):
@@ -228,7 +222,23 @@ class TestRunExperiment:
         ]
         for result in results:
             for row in result.history.trials:
-                assert row.max_iterations == sample(problem.space, 9, row.trial_id).max_iterations
+                config = sample(problem.spec.space, 9, row.trial_id)
+                assert row.max_iterations == config.max_iterations
+
+    def test_idle_slots_are_never_made(self):
+        # Budget 50 at unit primary cost gives work to 50 slots; 200,000 must cost no more.
+        problem = make_problem("fairness-like", problem_seed=0)
+        tracemalloc.start()
+        try:
+            wide = run_experiment(
+                problem, NoStoppingScheduler, budget=50.0, max_concurrent=200_000, seed=0
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5_000_000
+        narrow = run_experiment(problem, NoStoppingScheduler, 50.0, max_concurrent=50, seed=0)
+        assert wide.history.records == narrow.history.records
 
     def test_mid_trial_budget_exhaustion_truncates(self):
         problem = fixed_length_problem(iterations=8)
@@ -373,7 +383,7 @@ class TestRunExperiment:
     )
     def test_degenerate_inputs_complete_consistently(self, make, budget, max_concurrent, kind):
         problem = make()
-        asha = AshaConfig(max_time_units=problem.space.max_iterations)
+        asha = AshaConfig(max_time_units=problem.spec.space.max_iterations)
         factory = {
             "ace": lambda h: AceScheduler(AceConfig(), h),
             "asha": lambda h: AshaScheduler(asha, h),
@@ -410,7 +420,7 @@ class TestProblems:
         probe_seed = SyntheticProblem._PROBE_SEED_OFFSET + 0
         feasible = 0
         for i in range(SyntheticProblem.PROBE_COUNT):
-            config = sample(problem.space, probe_seed, i)
+            config = sample(problem.spec.space, probe_seed, i)
             curve = problem.curve_for(config)
             best = min(constraint_curve_value(curve, t) for t in range(1, curve.max_iterations + 1))
             if best <= problem.constraint.threshold:
@@ -423,19 +433,19 @@ class TestProblems:
         # So a run's constraint-to-primary cost ratio is the spec's own.
         problem = make_problem(preset, problem_seed=0)
         assert problem.spec.constraint_cost / problem.spec.primary_cost == ratio
-        for config in (sample(problem.space, 5, i) for i in range(20)):
+        for config in (sample(problem.spec.space, 5, i) for i in range(20)):
             curve = problem.curve_for(config)
             assert curve.primary_cost == problem.spec.primary_cost
             assert curve.constraint_cost == problem.spec.constraint_cost
 
     def test_curves_deterministic_per_config(self):
         problem = make_problem("robustness-like", problem_seed=1)
-        config = sample(problem.space, 0, 0)
+        config = sample(problem.spec.space, 0, 0)
         assert problem.curve_for(config) == problem.curve_for(config)
 
     def test_normalized_values_in_unit_box(self):
         problem = make_problem("robustness-like", problem_seed=1)
-        for config in (sample(problem.space, 3, i) for i in range(20)):
+        for config in (sample(problem.spec.space, 3, i) for i in range(20)):
             for value in problem.normalized_values(config).values():
                 assert 0.0 <= value <= 1.0
 
@@ -557,7 +567,7 @@ class TestCalibrationCut:
         problem = make_problem(preset, seed)
         probe_seed = SyntheticProblem._PROBE_SEED_OFFSET + seed
         minima = [
-            full_scan_minimum(problem.curve_for(sample(problem.space, probe_seed, i)))
+            full_scan_minimum(problem.curve_for(sample(problem.spec.space, probe_seed, i)))
             for i in range(SyntheticProblem.PROBE_COUNT)
         ]
         expected = float(np.quantile(np.asarray(minima), problem.spec.feasible_fraction))

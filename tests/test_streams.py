@@ -357,11 +357,11 @@ class TestBounds:
         info = streams.grid_draws.cache_info()
         assert info.currsize <= info.maxsize
 
-    def test_scan_states_match_fresh_draws_and_are_dropped(self, monkeypatch):
+    def test_scan_states_match_fresh_draws_without_tile_lookups(self, monkeypatch):
         problem = make_problem("robustness-like", 0)
         # Nothing is feasible, so the scan visits every candidate: over two chunks.
         problem.constraint = ConstraintSpec(-1e9)
-        asha = functools.partial(AshaScheduler, AshaConfig(problem.space.max_iterations))
+        asha = functools.partial(AshaScheduler, AshaConfig(problem.spec.space.max_iterations))
         tile_lookups = []
 
         def scan(*args):
@@ -374,11 +374,19 @@ class TestBounds:
         monkeypatch.setattr(simulate, "post_hoc_feasibility_scan", scan)
         result = run_experiment(problem, asha, budget=3000.0, max_concurrent=4, seed=0)
         assert tile_lookups == [0]  # the scan derives its own states
-        assert simulate._scan_draws == {}
         scan = [r for r in result.history.records if r.action is None]
         assert len(scan) > simulate._TILE_KEYS
         for record in scan:
-            curve = problem.curve_for(sample(problem.space, 0, record.trial_id))
+            curve = problem.curve_for(sample(problem.spec.space, 0, record.trial_id))
             noise = fresh_noise(0, record.trial_id, record.iteration, 1)
             level = constraint_curve_value(curve, record.iteration)
             assert record.constraint_value == level + curve.constraint_noise * noise
+
+    def test_scan_normals_are_the_loop_draws_in_candidate_order(self):
+        # Keys out of order and over a chunk boundary: each normal is metric_noise's for its key.
+        rng = np.random.default_rng(3)
+        keys = zip(rng.integers(0, 5000, 600).tolist(), rng.integers(1, 300, 600).tolist())
+        candidates = [(trial_id, iteration, 0.0) for trial_id, iteration in keys]
+        normals = list(simulate._scan_normals(7, candidates))
+        tag = simulate._CONSTRAINT_TAG
+        assert normals == [metric_noise(7, t_id, t, tag) for t_id, t, _ in candidates]
