@@ -32,7 +32,7 @@ import types
 import typing
 from enum import Enum
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from .cost_model import CostParams, expected_cost_closed
 from .history import Group, RunningHistory
@@ -256,7 +256,7 @@ _CELL: dict[type, Callable[[Any], str]] = {
 }
 
 
-def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence[Any]]) -> None:
+def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence[Any]]) -> None:
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write(",".join(header) + "\r\n")
         handle.writelines(
@@ -426,17 +426,17 @@ def cmd_cost_curve(args: argparse.Namespace) -> int:
         # fixed horizon over powers-of-two ratios.
         sweeps = [(20.0, t) for t in _CURVE_ITERATIONS]
         sweeps += [(r, 16) for r in _CURVE_RATIOS]
-    rows = []
     for ratio, max_iterations in sweeps:
         try:
             CostParams(1.0, ratio, p, max_iterations, 1)
         except ValueError as exc:
             raise _error(_COST_CURVE_FLAGS[str(exc).split()[0]], str(exc)) from None
-        for interval in range(1, max_iterations + 1):
-            cost = expected_cost_closed(
-                CostParams(1.0, ratio, p, max_iterations, interval)
-            )
-            rows.append((p, ratio, max_iterations, interval, cost))
+    # Every pair is checked before the file opens; the rows are written as they are made.
+    rows = (
+        (p, ratio, t, interval, expected_cost_closed(CostParams(1.0, ratio, p, t, interval)))
+        for ratio, t in sweeps
+        for interval in range(1, t + 1)
+    )
     out_path = Path(args.output)
     if out_path.parent != Path("."):
         out_path.parent.mkdir(parents=True, exist_ok=True)
@@ -445,7 +445,7 @@ def cmd_cost_curve(args: argparse.Namespace) -> int:
         ("stop_probability", "cost_ratio", "max_iterations", "interval", "expected_cost"),
         rows,
     )
-    print(f"wrote {len(rows)} rows to {out_path}")
+    print(f"wrote {sum(t for _, t in sweeps)} rows to {out_path}")
     return 0
 
 

@@ -226,13 +226,10 @@ class RunningHistory:
         return list(self._trials.values())
 
     def start_trial(self, trial_id: int, max_iterations: int, interval: int | None) -> None:
-        """Create the trial's row with the facts fixed for its lifetime.
-
-        Starting a trial that already has a row replaces the row.
-        """
-        old = self._trials.get(trial_id)
-        if self._group_keys is not None and old is not None and old.group is not None:
-            self._drop_key(old.group, _row_key(old))
+        """Create the trial's row with the facts fixed for its lifetime. A trial
+        starts once: starting one that already has a row raises ValueError."""
+        if trial_id in self._trials:
+            raise ValueError(f"trial {trial_id} already has a row")
         self._trials[trial_id] = TrialSnapshot(trial_id, max_iterations, interval)
 
     def record_checkpoint(self, record: CheckpointRecord) -> CheckpointRecord:

@@ -151,11 +151,9 @@ class TrialScheduler:
     def __init__(self, history: RunningHistory):
         self.history = history
 
-    def on_trial_start(self, trial_id: int, max_iterations: int) -> int | None:
-        """Create the trial's history row; return its evaluation interval, if any."""
-        interval = self.interval_for(max_iterations)
-        self.history.start_trial(trial_id, max_iterations, interval)
-        return interval
+    def on_trial_start(self, trial_id: int, max_iterations: int) -> None:
+        """Create the trial's history row, its evaluation interval fixed there."""
+        self.history.start_trial(trial_id, max_iterations, self.interval_for(max_iterations))
 
     def interval_for(self, max_iterations: int) -> int | None:
         """Constraint-evaluation interval of a trial starting now (None: no schedule)."""

@@ -9,6 +9,7 @@ ziggurat tables. :class:`Draws` turns the word into numpy's first uniform
 and bounded integer the same way. A draw the first word cannot settle (a
 ziggurat wedge or tail, a Lemire rejection) sets the stream's state on the
 one module-level generator and lets numpy draw, so draws are single-threaded.
+Every key word must lie in [0, 2**32); any other word raises ValueError.
 """
 
 from __future__ import annotations
@@ -216,21 +217,15 @@ class Draws(NamedTuple):
 def seed_draws(seed: int, keys) -> Draws:
     """The first draws of ``PCG64(SeedSequence(seed, spawn_key=key))`` for each key.
 
-    ``keys`` has shape (n, key length >= 1). Keys with a word outside
-    [0, 2**32) take numpy's own seeding. The first call in a process recovers
-    numpy's ziggurat tables and checks them and the derivation against numpy,
-    raising RuntimeError if they differ.
+    ``keys`` has shape (n, key length >= 1) and words in [0, 2**32), else
+    ValueError. The first call in a process recovers numpy's ziggurat tables
+    and checks them and the derivation against numpy, raising RuntimeError if
+    they differ.
     """
     keys = np.asarray(keys)
-    narrow = ((keys >= 0) & (keys <= _M32)).all(axis=1)
-    draws = _draws(seed, list(keys[narrow].T.astype(np.uint32)))
-    if narrow.all():
-        return draws
-    states, words = np.empty((4, len(keys)), np.uint64), np.empty(len(keys), np.uint64)
-    states[:, narrow], words[narrow] = draws.states, draws.words
-    for i in np.flatnonzero(~narrow):
-        states[:, i], words[i] = _reference(seed, tuple(int(word) for word in keys[i]))
-    return Draws(_normals(words), words, states)
+    if not ((keys >= 0) & (keys <= _M32)).all():
+        raise ValueError("key words must lie in [0, 2**32)")
+    return _draws(seed, list(keys.T.astype(np.uint32)))
 
 
 def _draws(seed: int, words: list[np.ndarray]) -> Draws:
@@ -250,14 +245,11 @@ def grid_draws(
     ``row_start`` and ``cols`` columns from ``col_start``, row-major. The 20
     cached grids cover the noise tiles and sampling blocks that a run has in use."""
     ends = (row_start, row_start + rows - 1, col_start, col_start + cols - 1, *tail)
-    if all(0 <= word <= _M32 for word in ends):
-        row = np.arange(row_start, row_start + rows, dtype=np.uint32)[:, None]
-        col = np.arange(col_start, col_start + cols, dtype=np.uint32)
-        draws = _draws(seed, [row, col, *(np.array(word, np.uint32) for word in tail)])
-    else:
-        row, col = np.divmod(np.arange(rows * cols), cols)
-        keys = [row + row_start, col + col_start, *(np.full(row.size, word) for word in tail)]
-        draws = seed_draws(seed, np.stack(keys, axis=1))
+    if not all(0 <= word <= _M32 for word in ends):
+        raise ValueError("key words must lie in [0, 2**32)")
+    row = np.arange(row_start, row_start + rows, dtype=np.uint32)[:, None]
+    col = np.arange(col_start, col_start + cols, dtype=np.uint32)
+    draws = _draws(seed, [row, col, *(np.array(word, np.uint32) for word in tail)])
     for array in draws:
         array.flags.writeable = False  # shared by every caller through the cache
     return draws

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ace_hpo.history import (
@@ -166,11 +166,13 @@ _OPS = st.one_of(
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(_OPS, max_size=60), st.integers(0, 60))
+@example([("start", 0), ("start", 0)], 0)
 def test_group_rank_matches_brute_force_count(stream, first_rank_at):
     # Rows are mirrored here (group, best metric under the strict "<" rule,
     # latest violation) and ranked by counting better members of the group.
     # Ranks are asked for only from op `first_rank_at` on, so the sorted
     # lists get built mid-stream and then kept current by record_checkpoint.
+    # Starting a trial that has a row raises and leaves the row as it was.
     history = RunningHistory(TAU)
     rows: dict[int, list] = {}
 
@@ -179,7 +181,10 @@ def test_group_rank_matches_brute_force_count(stream, first_rank_at):
         return (violation, best, trial) if group is Group.INVALID else (best, trial)
 
     for i, op in enumerate(stream):
-        if op[0] == "start":
+        if op[0] == "start" and op[1] in rows:
+            with pytest.raises(ValueError, match="already has a row"):
+                history.start_trial(op[1], 8, None)
+        elif op[0] == "start":
             history.start_trial(op[1], 8, None)
             rows[op[1]] = [None, math.inf, None]
         else:

@@ -44,36 +44,40 @@ def seed_ledger(history, n_primary=4, primary=1.0, n_constraint=4, constraint=1.
 
 class TestIntervalChoice:
     def test_first_trial_defaults_to_final_check(self):
-        sched = AceScheduler(AceConfig(), fresh_history())
-        assert sched.on_trial_start(0, 32) == 32
+        history = fresh_history()
+        AceScheduler(AceConfig(), history).on_trial_start(0, 32)
+        assert history.trial_snapshot(0).interval == 32
 
     def test_cheap_constraint_checks_every_iteration(self):
         history = fresh_history()
         seed_ledger(history, constraint=1.94)
         sched = AceScheduler(AceConfig(truncation_percentage=0.25), history)
         # threshold(0.25, 16) ~ 4.07 > 1.94
-        assert sched.on_trial_start(0, 16) == 1
+        sched.on_trial_start(0, 16)
+        assert history.trial_snapshot(0).interval == 1
 
     def test_expensive_constraint_checks_once(self):
         history = fresh_history()
         seed_ledger(history, constraint=23.98)
         sched = AceScheduler(AceConfig(truncation_percentage=0.25), history)
         # threshold(0.25, 8) ~ 1.69 < 23.98
-        assert sched.on_trial_start(0, 8) == 8
+        sched.on_trial_start(0, 8)
+        assert history.trial_snapshot(0).interval == 8
 
     def test_fixed_modes_ignore_ledger(self):
         history = fresh_history()
         seed_ledger(history)
-        assert AceScheduler(AceConfig(interval_mode=IntervalMode.FIXED_1), history).on_trial_start(0, 16) == 1
-        assert AceScheduler(AceConfig(interval_mode=IntervalMode.FIXED_T), history).on_trial_start(0, 16) == 16
+        AceScheduler(AceConfig(interval_mode=IntervalMode.FIXED_1), history).on_trial_start(0, 16)
+        AceScheduler(AceConfig(interval_mode=IntervalMode.FIXED_T), history).on_trial_start(1, 16)
+        assert [history.trial_snapshot(i).interval for i in (0, 1)] == [1, 16]
 
     def test_interval_fixed_per_trial_own_budget(self):
         history = fresh_history()
         seed_ledger(history, constraint=3.0)
         sched = AceScheduler(AceConfig(), history)
         # threshold(0.25, 8) ~ 1.69 < 3.0 -> final; threshold(0.25, 32) ~ 9.33 > 3.0 -> every iteration
-        assert sched.on_trial_start(0, 8) == 8
-        assert sched.on_trial_start(1, 32) == 1
+        sched.on_trial_start(0, 8)
+        sched.on_trial_start(1, 32)
         assert [(r.trial_id, r.max_iterations, r.interval) for r in history.trials] == [
             (0, 8, 8),
             (1, 32, 1),
@@ -222,8 +226,8 @@ class TestAceStep:
         history = fresh_history()
         seed_ledger(history, constraint=100.0)  # expensive -> final-only
         sched = AceScheduler(AceConfig(), history)
-        interval = sched.on_trial_start(0, 4)
-        assert interval == 4
+        sched.on_trial_start(0, 4)
+        assert history.trial_snapshot(0).interval == 4
         evals = []
         for t in (1, 2, 3):
             d = sched.step(0, t, 4, 0.5 - 0.1 * t, charging_eval(history, 0.1))
