@@ -192,19 +192,15 @@ class TrialSnapshot:
     status: str | None = None
 
 
-def _stratum_key(group: Group, violation: float | None, opt: float, trial_id: int) -> tuple:
-    """Ascending ranking key inside a constraint group, best first.
-
-    Invalid trials order by (violation, optimization metric); the other
-    groups by optimization metric alone. Ties break by trial id.
-    """
-    if group is Group.INVALID:
-        return (violation, opt, trial_id)
-    return (opt, trial_id)
-
-
 def _row_key(row: TrialSnapshot) -> tuple:
-    return _stratum_key(row.group, row.latest_violation, row.best_opt, row.trial_id)
+    """Ascending ranking key of a row inside its constraint group, best first.
+
+    Invalid trials order by (latest violation, best optimization metric);
+    the other groups by best optimization metric alone. Ties break by trial id.
+    """
+    if row.group is Group.INVALID:
+        return (row.latest_violation, row.best_opt, row.trial_id)
+    return (row.best_opt, row.trial_id)
 
 
 class RunningHistory:
@@ -288,8 +284,8 @@ class RunningHistory:
     def group_rank(self, trial_id: int) -> tuple[int, int]:
         """The trial's rank from worst (1 = worst) inside its group, and the group's size.
 
-        Members order by :func:`_stratum_key` on their rows. The first call
-        builds the sorted key lists; ``record_checkpoint`` keeps them current.
+        Members order by :func:`_row_key`. The first call builds the sorted
+        key lists; ``record_checkpoint`` keeps them current.
         """
         if self._group_keys is None:
             self._group_keys = {group: [] for group in Group}

@@ -35,12 +35,7 @@ from enum import Enum
 from typing import Callable, Iterable
 
 from .cost_model import choose_interval
-from .history import (
-    CheckpointRecord,
-    Group,
-    RunningHistory,
-    _stratum_key,
-)
+from .history import CheckpointRecord, Group, RunningHistory
 
 __all__ = [
     "Action",
@@ -90,12 +85,6 @@ class AceConfig:
             )
 
 
-def _bootstrap(history: RunningHistory, at_final_iteration: bool) -> bool:
-    """Evaluate at a final iteration while the ledger has no constraint sample,
-    so the empirical cost ratio can be estimated at all."""
-    return at_final_iteration and history.ledger.constraint_cost_count == 0
-
-
 def ace_gate(
     opt_metric: float,
     history: RunningHistory,
@@ -108,9 +97,10 @@ def ace_gate(
     True at interval boundaries, unless the gate is on and the current
     optimization metric is worse than the best feasible score so far (such
     a checkpoint cannot improve the incumbent, so certifying it is wasted
-    cost). A bootstrap evaluation (see :func:`_bootstrap`) always happens.
+    cost). A bootstrap evaluation always happens at a final iteration while
+    the ledger holds no constraint sample, so the cost ratio can be estimated.
     """
-    if _bootstrap(history, at_final_iteration):
+    if at_final_iteration and history.ledger.constraint_cost_count == 0:
         return True
     if not at_interval_boundary:
         return False
@@ -246,8 +236,6 @@ class AshaConfig:
     max_time_units: int
     reduction_factor: int = 4
     grace_period: int = 1
-    stratum_mode: bool = False
-    constraint_interval_fixed: bool = True
 
     def __post_init__(self) -> None:
         if self.reduction_factor < 2:
@@ -256,11 +244,6 @@ class AshaConfig:
             raise ValueError("grace_period must be >= 1")
         if self.max_time_units < self.grace_period:
             raise ValueError("max_time_units must be >= grace_period")
-        if not (self.stratum_mode or self.constraint_interval_fixed):
-            raise ValueError(
-                "constraint_interval_fixed=False needs stratum_mode=True: "
-                "only stratum mode evaluates the constraint"
-            )
 
     @property
     def rungs(self) -> tuple[int, ...]:
@@ -279,50 +262,16 @@ class AshaScheduler(TrialScheduler):
     of the results recorded at that rung so far, with promotions capped at
     ceil(m/eta) per rung (ties admitted up to the cap, broken by trial id).
     A NaN metric ranks as +inf, behind every number. Each rung keeps its
-    results sorted, so an arrival's rank is its bisect position.
-    In stratum mode the rung test applies within the trial's constraint
-    group instead of the whole rung population.
+    results sorted, so an arrival's rank is its bisect position. The
+    scheduler never evaluates the constraint.
     """
 
     def __init__(self, config: AshaConfig, history: RunningHistory):
         super().__init__(history)
         self.config = config
         self._rung_set = set(config.rungs)
-        self._rung_entries: dict[tuple, list[tuple]] = {}
-        self._rung_promotions: dict[tuple, int] = {}
-
-    @property
-    def performs_constraint_evaluations(self) -> bool:  # type: ignore[override]
-        return self.config.stratum_mode
-
-    def interval_for(self, max_iterations: int) -> int | None:
-        """In adaptive stratum mode, T for a single final check, else 1.
-
-        The endpoint rule maps onto the two schedules this scheduler has:
-        evaluate at every rung (reported as interval 1), or once at the
-        final iteration. The per-check stop fraction of a halving rung is
-        1 - 1/eta. Other modes have no interval schedule.
-        """
-        if self.config.constraint_interval_fixed:
-            return None
-        ratio = self.history.ledger.cost_ratio()
-        if ratio is None:
-            return max_iterations
-        stop_fraction = 1.0 - 1.0 / self.config.reduction_factor
-        if choose_interval(ratio, stop_fraction, max_iterations) == max_iterations:
-            return max_iterations
-        return 1
-
-    def wants_constraint(
-        self, trial_id: int, iteration: int, max_iterations: int, opt_metric: float
-    ) -> bool:
-        if not self.config.stratum_mode:
-            return False
-        if _bootstrap(self.history, iteration >= max_iterations):
-            return True
-        if self.history.trial_snapshot(trial_id).interval == max_iterations:
-            return iteration >= max_iterations
-        return iteration in self._rung_set
+        self._rung_entries: dict[int, list[tuple[float, int]]] = {}
+        self._rung_promotions: dict[int, int] = {}
 
     def decide(
         self, trial_id: int, iteration: int, max_iterations: int, record: CheckpointRecord
@@ -330,21 +279,16 @@ class AshaScheduler(TrialScheduler):
         if iteration not in self._rung_set:
             return Action.CONTINUE, None, None
         opt = math.inf if math.isnan(record.opt_metric) else record.opt_metric
-        if self.config.stratum_mode:
-            key: tuple = (iteration, record.group)
-            entry = _stratum_key(record.group, record.violation_amount, opt, trial_id)
-        else:
-            key = (iteration,)
-            entry = (opt, trial_id)
-        entries = self._rung_entries.setdefault(key, [])
+        entry = (opt, trial_id)
+        entries = self._rung_entries.setdefault(iteration, [])
         position = bisect_left(entries, entry)
         entries.insert(position, entry)
         rank = position + 1
         size = len(entries)
         cap = -(-size // self.config.reduction_factor)
-        promoted = self._rung_promotions.get(key, 0)
+        promoted = self._rung_promotions.get(iteration, 0)
         if rank <= cap and promoted < cap:
-            self._rung_promotions[key] = promoted + 1
+            self._rung_promotions[iteration] = promoted + 1
             return Action.CONTINUE, rank, size
         return Action.STOP, rank, size
 
@@ -357,25 +301,26 @@ class ConstraintCallback(TrialScheduler):
     """Wraps a constraint-agnostic scheduler with a final-iteration check.
 
     The wrapped run certifies each completing trial's feasibility at its
-    last training iteration; stopping decisions stay with the inner
-    scheduler.
+    last training iteration, and at no other; stopping decisions stay with
+    the inner scheduler. Wrapping a scheduler that evaluates the constraint
+    itself raises ValueError, since its evaluations would be lost.
     """
 
     performs_constraint_evaluations = True
 
     def __init__(self, inner: TrialScheduler):
+        if inner.performs_constraint_evaluations:
+            raise ValueError(
+                "ConstraintCallback wraps a constraint-agnostic scheduler, "
+                f"not {type(inner).__name__}"
+            )
         super().__init__(inner.history)
         self.inner = inner
-
-    def interval_for(self, max_iterations: int) -> int | None:
-        return self.inner.interval_for(max_iterations)
 
     def wants_constraint(
         self, trial_id: int, iteration: int, max_iterations: int, opt_metric: float
     ) -> bool:
-        return iteration >= max_iterations or self.inner.wants_constraint(
-            trial_id, iteration, max_iterations, opt_metric
-        )
+        return iteration >= max_iterations
 
     def decide(
         self, trial_id: int, iteration: int, max_iterations: int, record: CheckpointRecord

@@ -286,70 +286,36 @@ class TestAsha:
         assert not decision.evaluate_constraint
         assert decision.group is Group.NO_CONSTRAINT
 
-    def test_stratum_mode_ranks_within_group(self):
+    def test_nan_arrival_ranks_behind_every_number(self):
         history = fresh_history()
-        config = AshaConfig(max_time_units=16, stratum_mode=True, constraint_interval_fixed=True)
-        sched = AshaScheduler(config, history)
-        assert sched.performs_constraint_evaluations
-        # Three invalid arrivals at rung 1, then a valid one: the valid trial
-        # is a singleton in its own pool and promotes despite the worst metric.
-        for trial, g in enumerate([0.9, 0.8, 0.7]):
-            sched.on_trial_start(trial, 16)
-            assert sched.step(trial, 1, 16, 0.1 * (trial + 1), charging_eval(history, g)).group is Group.INVALID
-        sched.on_trial_start(3, 16)
-        decision = sched.step(3, 1, 16, 0.99, charging_eval(history, 0.1))
-        assert decision.group is Group.VALID
-        assert decision.action is Action.CONTINUE
-        assert (decision.rank, decision.group_size) == (1, 1)
-
-    def test_stratum_adaptive_schedule_maps_to_final_only(self):
-        history = fresh_history()
-        seed_ledger(history, constraint=50.0)  # expensive -> single final check
-        config = AshaConfig(max_time_units=16, stratum_mode=True, constraint_interval_fixed=False)
-        sched = AshaScheduler(config, history)
-        sched.on_trial_start(0, 16)
-        assert not sched.wants_constraint(0, 1, 16, 0.5)
-        assert not sched.wants_constraint(0, 4, 16, 0.5)
-        assert sched.wants_constraint(0, 16, 16, 0.5)
-
-    @pytest.mark.parametrize("stratum_mode", [False, True])
-    def test_nan_arrival_ranks_behind_every_number(self, stratum_mode):
-        history = fresh_history()
-        sched = AshaScheduler(AshaConfig(max_time_units=16, stratum_mode=stratum_mode), history)
+        sched = AshaScheduler(AshaConfig(max_time_units=16), history)
         ranks = []
         for trial, opt in enumerate([0.5, math.nan, 0.3, 0.1]):
             sched.on_trial_start(trial, 16)
-            entry = sched.step(trial, 1, 16, opt, charging_eval(history, 0.1))
+            entry = sched.step(trial, 1, 16, opt, lambda: 0.0)
             ranks.append((entry.rank, entry.group_size))
         assert ranks == [(1, 1), (2, 2), (1, 3), (1, 4)]
         assert math.isnan(history.records[1].opt_metric)
 
     @settings(max_examples=150, deadline=None)
     @given(
-        st.booleans(),
         st.lists(
             st.tuples(
                 st.sampled_from([1, 4, 16]),
                 st.one_of(st.sampled_from([0.2, 0.5]), st.floats(-1.0, 1.0)),
-                st.sampled_from([0.1, 0.25, 0.3, 0.9]),
             ),
             max_size=40,
         ),
     )
-    def test_rung_rank_matches_sort_and_index(self, stratum_mode, arrivals):
+    def test_rung_rank_matches_sort_and_index(self, arrivals):
         history = fresh_history()
-        sched = AshaScheduler(AshaConfig(max_time_units=16, stratum_mode=stratum_mode), history)
-        pools: dict[tuple, list] = {}
-        for trial, (rung, opt, value) in enumerate(arrivals):
+        sched = AshaScheduler(AshaConfig(max_time_units=16), history)
+        pools: dict[int, list] = {}
+        for trial, (rung, opt) in enumerate(arrivals):
             sched.on_trial_start(trial, 16)
-            record = sched.step(trial, rung, 16, opt, charging_eval(history, value))
-            if not stratum_mode:
-                pool, key = (rung,), (opt, trial)
-            elif record.group is Group.INVALID:
-                pool, key = (rung, record.group), (record.violation_amount, opt, trial)
-            else:
-                pool, key = (rung, record.group), (opt, trial)
-            keys = pools.setdefault(pool, [])
+            record = sched.step(trial, rung, 16, opt, lambda: 0.0)
+            key = (opt, trial)
+            keys = pools.setdefault(rung, [])
             keys.append(key)
             keys.sort()
             assert (record.rank, record.group_size) == (keys.index(key) + 1, len(keys))
@@ -359,8 +325,6 @@ class TestAsha:
             AshaConfig(max_time_units=16, reduction_factor=1)
         with pytest.raises(ValueError):
             AshaConfig(max_time_units=0)
-        with pytest.raises(ValueError, match="stratum_mode"):
-            AshaConfig(max_time_units=16, constraint_interval_fixed=False)
 
 
 class TestBaselines:
@@ -396,6 +360,24 @@ class TestBaselines:
         sched.step(1, 1, 16, 0.2, charging_eval(history, 0.1))
         decision = sched.step(2, 1, 16, 0.9, charging_eval(history, 0.1))
         assert decision.action is Action.STOP
+
+    def test_callback_asha_ranks_a_rung_on_the_metric_alone(self):
+        # The final check classifies each arrival, but the inner ASHA keeps
+        # one pool per rung: a VALID trial ranks behind better INVALID ones.
+        history = fresh_history()
+        sched = ConstraintCallback(AshaScheduler(AshaConfig(max_time_units=16), history))
+        seen = []
+        for trial, (opt, value) in enumerate([(0.1, 0.9), (0.5, 0.1), (0.3, 0.9)]):
+            sched.on_trial_start(trial, 16)
+            record = sched.step(trial, 16, 16, opt, charging_eval(history, value))
+            assert record.evaluate_constraint
+            assert record.action is Action.CONTINUE
+            seen.append((record.group, record.rank, record.group_size))
+        assert seen == [(Group.INVALID, 1, 1), (Group.VALID, 2, 2), (Group.INVALID, 2, 3)]
+
+    def test_callback_rejects_a_constraint_evaluating_inner_scheduler(self):
+        with pytest.raises(ValueError, match="AceScheduler"):
+            ConstraintCallback(AceScheduler(AceConfig(), fresh_history()))
 
 
 class TestPostHocScan:
