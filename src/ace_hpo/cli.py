@@ -220,8 +220,10 @@ def load_config(path: str | Path) -> dict:
     if _value(int, config["max_concurrent"], "max_concurrent") < 1:
         raise _error("max_concurrent", f"{config['max_concurrent']!r} is not >= 1")
     _seeds(config["seeds"], "seeds")
-    if "output_dir" in config and not _value(str, config["output_dir"], "output_dir"):
-        raise _error("output_dir", "must not be empty")
+    if "output_dir" in config:
+        output_dir = _value(str, config["output_dir"], "output_dir")
+        if not output_dir or "\0" in output_dir:
+            raise _error("output_dir", f"must be non-empty with no NUL character: {output_dir!r}")
     space = _problem(config)[2]
     arms = config["arms"]
     if not isinstance(arms, list) or not arms:
@@ -298,35 +300,24 @@ def _write_run_files(out_dir: Path, arm: str, seed: int, result: RunResult) -> N
         _write_csv(out_dir / f"{arm}_seed{seed}_{table}.csv", header, cells)
 
 
-def _mean_std(values: Sequence[float]) -> tuple[float | None, float | None]:
-    """Mean and sample (n-1) standard deviation; std is 0.0 for one value."""
-    if not values:
-        return None, None
-    mean = statistics.fmean(values)
-    std = statistics.stdev(values) if len(values) > 1 else 0.0
-    return mean, std
-
-
 def _aggregate(per_seed: list[dict]) -> dict:
+    """Success rate, and each field's mean and sample (n-1) std (0.0 for one value, None
+    for none): score and time over seeds that found a feasible trial, counts over all."""
     found = [r for r in per_seed if r["feasible_found"]]
-    score_mean, score_std = _mean_std([r["best_feasible_score"] for r in found])
-    time_mean, time_std = _mean_std([r["time_to_best"] for r in found])
-    trials_mean, trials_std = _mean_std([float(r["total_trials"]) for r in per_seed])
-    evals_mean, evals_std = _mean_std(
-        [float(r["constraint_evaluations"]) for r in per_seed]
-    )
-    return {
-        "seeds": len(per_seed),
-        "success_rate": len(found) / len(per_seed),
-        "best_feasible_score_mean": score_mean,
-        "best_feasible_score_std": score_std,
-        "time_to_best_mean": time_mean,
-        "time_to_best_std": time_std,
-        "total_trials_mean": trials_mean,
-        "total_trials_std": trials_std,
-        "constraint_evaluations_mean": evals_mean,
-        "constraint_evaluations_std": evals_std,
-    }
+    out = {"seeds": len(per_seed), "success_rate": len(found) / len(per_seed)}
+    for rows, field in (
+        (found, "best_feasible_score"),
+        (found, "time_to_best"),
+        (per_seed, "total_trials"),
+        (per_seed, "constraint_evaluations"),
+    ):
+        values = [float(r[field]) for r in rows]
+        if not values:
+            out[f"{field}_mean"] = out[f"{field}_std"] = None
+            continue
+        out[f"{field}_mean"] = statistics.fmean(values)
+        out[f"{field}_std"] = statistics.stdev(values) if len(values) > 1 else 0.0
+    return out
 
 
 def _resolve_output_dir(flag_value: str | None, config: dict) -> Path:

@@ -104,30 +104,18 @@ def opt_curve_value(curve: TrialCurve, t: float) -> float:
     return curve.opt_limit + (curve.opt_start - curve.opt_limit) * math.exp(-curve.opt_rate * t)
 
 
-def _constraint_level(curve: TrialCurve, t: float) -> float:
-    return curve.constraint_limit + (curve.constraint_start - curve.constraint_limit) * math.exp(
-        -curve.constraint_rate * t
-    )
-
-
 def constraint_curve_value(curve: TrialCurve, t: float) -> float:
     """Noise-free constraint metric at iteration t, oscillation included."""
-    level = _constraint_level(curve, t)
+    level = curve.constraint_limit + (curve.constraint_start - curve.constraint_limit) * math.exp(
+        -curve.constraint_rate * t
+    )
     return level + curve.osc_amplitude * math.sin(2.0 * math.pi * t / curve.osc_period)
 
 
 def _min_constraint_value(curve: TrialCurve) -> float:
-    """The smallest constraint_curve_value over iterations 1..T, scanning from T
-    down. While the level cannot rise with t, the scan stops once level(t) -
-    amplitude exceeds the minimum so far: with monotone rounding, no earlier
-    value can be below it, so the result is exact."""
-    falling = curve.constraint_start >= curve.constraint_limit
-    best = math.inf
-    for t in range(curve.max_iterations, 0, -1):
-        if falling and _constraint_level(curve, t) - curve.osc_amplitude > best:
-            break
-        best = min(constraint_curve_value(curve, t), best)  # a tie keeps the earlier t, as min()
-    return best
+    """The smallest noise-free constraint value over iterations 1..T: the best a
+    trial trained to its end could ever read, which calibration ranks."""
+    return min(constraint_curve_value(curve, t) for t in range(1, curve.max_iterations + 1))
 
 
 # A noise tile holds `span` iterations from `first` (a power of two below
@@ -268,9 +256,11 @@ class ProblemSpec:
 class SyntheticProblem:
     """A problem spec bound to a seed, with a calibrated constraint threshold.
 
-    The threshold is the feasible_fraction quantile of the noise-free
-    best-over-iterations constraint value across a fixed probe sample of the
-    space, so roughly that fraction of configurations is ever-feasible.
+    The threshold is the feasible_fraction quantile, across a fixed probe
+    sample of the space, of each probe's smallest noise-free constraint value
+    over iterations 1..T, so roughly that fraction of configurations is
+    ever-feasible. Every probe's T values are computed: a bound tested at
+    each iteration to stop early costs about as much time as it saves.
     """
 
     PROBE_COUNT = 512
@@ -340,6 +330,25 @@ class SyntheticProblem:
         return float(np.quantile(np.asarray(minima), self.spec.feasible_fraction))
 
 
+def _preset(**own: object) -> ProblemSpec:
+    """A ProblemSpec from the values both presets share plus a preset's ``own`` fields."""
+    return ProblemSpec(
+        rate_param="learning_rate",
+        opt_gain=0.20,
+        opt_start_gain=0.12,
+        constraint_base=0.40,
+        constraint_gain=0.25,
+        constraint_lift=0.15,
+        constraint_rate_scale=0.9,
+        osc_period=7.0,
+        opt_noise=0.004,
+        constraint_noise=0.004,
+        primary_cost=1.0,
+        feasible_fraction=0.15,
+        **own,  # type: ignore[arg-type]
+    )
+
+
 def _fairness_like_spec() -> ProblemSpec:
     space = SearchSpace(
         (
@@ -351,7 +360,7 @@ def _fairness_like_spec() -> ProblemSpec:
             ),
         )
     )
-    return ProblemSpec(
+    return _preset(
         space=space,
         quality_terms=(
             LandscapeTerm("learning_rate", 0.55, 6.0),
@@ -362,25 +371,13 @@ def _fairness_like_spec() -> ProblemSpec:
             LandscapeTerm("learning_rate", 0.35, 5.0),
             LandscapeTerm("regularization", 0.75, 5.0),
         ),
-        rate_param="learning_rate",
         rate_low=0.08,
         rate_high=0.60,
         opt_base=-0.70,
-        opt_gain=0.20,
         opt_start=-0.50,
-        opt_start_gain=0.12,
-        constraint_base=0.40,
-        constraint_gain=0.25,
-        constraint_lift=0.15,
-        constraint_rate_scale=0.9,
         osc_base=0.06,
         osc_gain=0.04,
-        osc_period=7.0,
-        opt_noise=0.004,
-        constraint_noise=0.004,
-        primary_cost=1.0,
         constraint_cost=1.94,
-        feasible_fraction=0.15,
         maximize=True,
     )
 
@@ -396,7 +393,7 @@ def _robustness_like_spec() -> ProblemSpec:
             ),
         )
     )
-    return ProblemSpec(
+    return _preset(
         space=space,
         quality_terms=(
             LandscapeTerm("learning_rate", 0.60, 5.0),
@@ -406,25 +403,13 @@ def _robustness_like_spec() -> ProblemSpec:
             LandscapeTerm("augmentation_strength", 0.75, 5.0),
             LandscapeTerm("weight_decay", 0.70, 4.0),
         ),
-        rate_param="learning_rate",
         rate_low=0.02,
         rate_high=0.30,
         opt_base=0.30,
-        opt_gain=0.20,
         opt_start=0.90,
-        opt_start_gain=0.12,
-        constraint_base=0.40,
-        constraint_gain=0.25,
-        constraint_lift=0.15,
-        constraint_rate_scale=0.9,
         osc_base=0.01,
         osc_gain=0.02,
-        osc_period=7.0,
-        opt_noise=0.004,
-        constraint_noise=0.004,
-        primary_cost=1.0,
         constraint_cost=23.98,
-        feasible_fraction=0.15,
         maximize=False,
     )
 

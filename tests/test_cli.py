@@ -126,11 +126,13 @@ class TestConfigValidation:
                 ),
                 "feasibility_terms",
             ),
+            # Valid JSON that no file system takes as a path.
+            ({"output_dir": "out\0x"}, "output_dir"),
         ],
     )
     def test_rejected_before_any_output(self, tmp_path, capsys, changes, key):
         path = tmp_path / "config.json"
-        write_config(path, output_dir=str(tmp_path / "out"), **changes)
+        write_config(path, **{"output_dir": str(tmp_path / "out"), **changes})
         assert main(["run", str(path)]) == 2
         assert key in capsys.readouterr().err
         assert not (tmp_path / "out").exists()

@@ -1,7 +1,6 @@
 import math
 import tracemalloc
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -33,7 +32,6 @@ from ace_hpo.simulate import (
     problem_spec,
     run_experiment,
 )
-from ace_hpo.simulate import _min_constraint_value
 
 
 def flat_curve(**kwargs):
@@ -413,9 +411,11 @@ class TestProblems:
         assert make_problem("fairness-like", 0).spec.maximize
         assert not make_problem("robustness-like", 0).spec.maximize
 
-    def test_calibration_hits_feasible_fraction(self):
-        problem = make_problem("fairness-like", problem_seed=0)
-        probe_seed = SyntheticProblem._PROBE_SEED_OFFSET + 0
+    @staticmethod
+    def feasible_share(preset, seed):
+        """Share of the calibration probes whose curve ever meets the threshold."""
+        problem = make_problem(preset, problem_seed=seed)
+        probe_seed = SyntheticProblem._PROBE_SEED_OFFSET + seed
         feasible = 0
         for i in range(SyntheticProblem.PROBE_COUNT):
             config = sample(problem.spec.space, probe_seed, i)
@@ -423,8 +423,15 @@ class TestProblems:
             best = min(constraint_curve_value(curve, t) for t in range(1, curve.max_iterations + 1))
             if best <= problem.constraint.threshold:
                 feasible += 1
-        fraction = feasible / SyntheticProblem.PROBE_COUNT
-        assert abs(fraction - 0.15) <= 0.03
+        return feasible / SyntheticProblem.PROBE_COUNT
+
+    def test_calibration_hits_feasible_fraction(self):
+        assert abs(self.feasible_share("fairness-like", 0) - 0.15) <= 0.03
+
+    @pytest.mark.parametrize("preset", PRESET_NAMES)
+    @pytest.mark.parametrize("seed", [1, 5, 9])
+    def test_every_preset_calibrates_at_other_seeds(self, preset, seed):
+        assert abs(self.feasible_share(preset, seed) - 0.15) <= 0.03
 
     @pytest.mark.parametrize("preset, ratio", [("fairness-like", 1.94), ("robustness-like", 23.98)])
     def test_every_curve_takes_the_spec_costs(self, preset, ratio):
@@ -532,41 +539,3 @@ class TestProblems:
             seed=0,
         )
         assert result.history.records
-
-
-def full_scan_minimum(curve):
-    return min(constraint_curve_value(curve, t) for t in range(1, curve.max_iterations + 1))
-
-
-class TestCalibrationCut:
-    @settings(max_examples=300, deadline=None)
-    @given(
-        limit=st.floats(-1.0, 1.0),
-        lift=st.just(0.0) | st.floats(-0.5, 0.5),
-        rate=st.floats(1e-3, 3.0),
-        amplitude=st.just(0.0) | st.floats(0.0, 0.4),
-        period=st.floats(0.5, 30.0),
-        iterations=st.just(1) | st.integers(1, 300),
-    )
-    def test_cut_equals_full_scan(self, limit, lift, rate, amplitude, period, iterations):
-        curve = flat_curve(
-            constraint_limit=limit,
-            constraint_start=limit + lift,
-            constraint_rate=rate,
-            osc_amplitude=amplitude,
-            osc_period=period,
-            max_iterations=iterations,
-        )
-        assert _min_constraint_value(curve) == full_scan_minimum(curve)
-
-    @pytest.mark.parametrize("preset", PRESET_NAMES)
-    @pytest.mark.parametrize("seed", [0, 1, 5])
-    def test_threshold_equals_full_scan(self, preset, seed):
-        problem = make_problem(preset, seed)
-        probe_seed = SyntheticProblem._PROBE_SEED_OFFSET + seed
-        minima = [
-            full_scan_minimum(problem.curve_for(sample(problem.spec.space, probe_seed, i)))
-            for i in range(SyntheticProblem.PROBE_COUNT)
-        ]
-        expected = float(np.quantile(np.asarray(minima), problem.spec.feasible_fraction))
-        assert problem.constraint.threshold == expected
