@@ -285,6 +285,12 @@ SUMMARY_FIELDS = (
     "interval_final_only", "interval_unscheduled", "total_cost",
 )
 SUMMARY_HEADER = ("arm", "seed", *SUMMARY_FIELDS)
+# summary.txt's columns, each left-aligned in its width: the arm, three aggregates
+# as mean ± std, and the count of seeds that found a feasible trial.
+_TEXT_COLUMNS = (
+    ("arm", 16), ("best_feasible_score", 26), ("time_to_best", 26), ("total_trials", 22),
+    ("success", 0),
+)
 
 
 def _write_run_files(out_dir: Path, arm: str, seed: int, result: RunResult) -> None:
@@ -343,7 +349,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     problems = {seed: make_problem(preset, seed, **overrides) for seed in seeds}
     budget, max_concurrent = float(config["budget"]), int(config["max_concurrent"])
     summary_rows: list[tuple] = []
-    arm_summaries: list[dict] = []
+    text_rows = [[column for column, _ in _TEXT_COLUMNS]]
     for arm in config["arms"]:
         name = arm["name"]
         params = arm.get("params", {})
@@ -365,29 +371,20 @@ def cmd_run(args: argparse.Namespace) -> int:
             "per_seed": per_seed,
             "aggregate": _aggregate(per_seed),
         }
-        arm_summaries.append(summary)
         with open(out_dir / f"{name}_summary.json", "w", encoding="utf-8") as handle:
             json.dump(summary, handle, indent=2, sort_keys=True)
             handle.write("\n")
+        agg, found = summary["aggregate"], sum(record["feasible_found"] for record in per_seed)
+        stats = [_plus_minus(agg[f"{c}_mean"], agg[f"{c}_std"]) for c, _ in _TEXT_COLUMNS[1:-1]]
+        text_rows.append([name, *stats, f"{found}/{len(per_seed)}"])
 
     _write_csv(out_dir / "summary.csv", SUMMARY_HEADER, summary_rows)
     lines = [
         f"problem: {config['problem']['preset']}  budget: {budget:.17g}  "
         f"max_concurrent: {max_concurrent}  seeds: {list(problems)}",
         "",
-        f"{'arm':<16} {'best_feasible_score':<26} {'time_to_best':<26} "
-        f"{'total_trials':<22} success",
+        *(" ".join(cell.ljust(w) for cell, (_, w) in zip(row, _TEXT_COLUMNS)) for row in text_rows),
     ]
-    for summary in arm_summaries:
-        agg = summary["aggregate"]
-        success = f"{int(round(agg['success_rate'] * agg['seeds']))}/{agg['seeds']}"
-        lines.append(
-            f"{summary['arm']:<16} "
-            f"{_plus_minus(agg['best_feasible_score_mean'], agg['best_feasible_score_std']):<26} "
-            f"{_plus_minus(agg['time_to_best_mean'], agg['time_to_best_std']):<26} "
-            f"{_plus_minus(agg['total_trials_mean'], agg['total_trials_std']):<22} "
-            f"{success}"
-        )
     table = "\n".join(lines) + "\n"
     with open(out_dir / "summary.txt", "w", encoding="utf-8", newline="") as handle:
         handle.write(table)

@@ -269,24 +269,23 @@ class AshaScheduler(TrialScheduler):
     def __init__(self, config: AshaConfig, history: RunningHistory):
         super().__init__(history)
         self.config = config
-        self._rung_set = set(config.rungs)
-        self._rung_entries: dict[int, list[tuple[float, int]]] = {}
-        self._rung_promotions: dict[int, int] = {}
+        self._rung_entries: dict[int, list[tuple[float, int]]] = {r: [] for r in config.rungs}
+        self._rung_promotions = dict.fromkeys(config.rungs, 0)
 
     def decide(
         self, trial_id: int, iteration: int, max_iterations: int, record: CheckpointRecord
     ) -> tuple[Action, int | None, int | None]:
-        if iteration not in self._rung_set:
+        entries = self._rung_entries.get(iteration)
+        if entries is None:
             return Action.CONTINUE, None, None
         opt = math.inf if math.isnan(record.opt_metric) else record.opt_metric
         entry = (opt, trial_id)
-        entries = self._rung_entries.setdefault(iteration, [])
         position = bisect_left(entries, entry)
         entries.insert(position, entry)
         rank = position + 1
         size = len(entries)
         cap = -(-size // self.config.reduction_factor)
-        promoted = self._rung_promotions.get(iteration, 0)
+        promoted = self._rung_promotions[iteration]
         if rank <= cap and promoted < cap:
             self._rung_promotions[iteration] = promoted + 1
             return Action.CONTINUE, rank, size

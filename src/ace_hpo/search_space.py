@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Any
 
 from .streams import Draws, grid_draws
@@ -93,7 +94,7 @@ class SearchSpace:
         if len(axes) != 1:
             raise ValueError(f"exactly one parameter must set iteration_axis, not {len(axes)}")
 
-    @property
+    @cached_property
     def iteration_axis(self) -> ParamSpec:
         return next(p for p in self.params if p.iteration_axis)
 

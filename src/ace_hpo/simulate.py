@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import sys
 from dataclasses import dataclass, replace
 from typing import Callable, Iterator
 
@@ -226,26 +227,31 @@ class ProblemSpec:
         for term in self.quality_terms + self.feasibility_terms:
             if term.param not in names:
                 raise ValueError(f"landscape term references unknown parameter {term.param!r}")
-        # What every TrialCurve built from this spec needs. The headroom score
+        # What every TrialCurve built from this spec needs. A score
         # exp(-sum(w * d**2)) has each d**2 in [0, max(|c|, |1 - c|)**2] for u
         # in [0, 1], so it lies in [0, exp(peak)], with peak the sum over
-        # negative weights; the amplitude, linear in it, is checked at both ends.
+        # negative weights, which must keep exp(peak) a float. The amplitude,
+        # linear in the headroom score, is checked at both ends.
         if not 0.0 < self.primary_cost < math.inf:
             raise ValueError("primary_cost must be positive and finite")
         if not 0.0 <= self.constraint_cost < math.inf:
             raise ValueError("constraint_cost must be nonnegative and finite")
         if not (self.opt_noise >= 0.0 and self.constraint_noise >= 0.0):
             raise ValueError("opt_noise and constraint_noise must be nonnegative")
-        if not self.osc_period > 0.0:
-            raise ValueError("osc_period must be positive")
+        angle = 2.0 * math.pi * self.space.max_iterations
+        if not (self.osc_period > 0.0 and math.isfinite(angle / self.osc_period)):
+            raise ValueError("osc_period must be positive, with sin's angle 2π·T/osc_period finite")
         if not self.constraint_rate_scale > 0.0:
             raise ValueError("constraint_rate_scale must be positive")
-        peak = sum(
-            -t.weight * max(abs(t.center), abs(1.0 - t.center)) ** 2
-            for t in self.feasibility_terms
-            if t.weight < 0.0
-        )
-        at_peak = self.osc_base + self.osc_gain * (1.0 - math.exp(min(peak, 700.0)))
+        for field in ("quality_terms", "feasibility_terms"):  # leaves the headroom's peak
+            peak = sum(
+                -t.weight * max(abs(t.center), abs(1.0 - t.center)) ** 2
+                for t in getattr(self, field)
+                if t.weight < 0.0
+            )
+            if not peak < math.log(sys.float_info.max):
+                raise ValueError(f"{field}: the score's peak exp({peak:.6g}) exceeds every float")
+        at_peak = self.osc_base + self.osc_gain * (1.0 - math.exp(peak))
         if not (self.osc_base + self.osc_gain >= 0.0 and at_peak >= 0.0):
             raise ValueError(
                 "osc_base + osc_gain * (1 - headroom) must be nonnegative for every headroom"
@@ -349,19 +355,17 @@ def _preset(**own: object) -> ProblemSpec:
     )
 
 
-def _fairness_like_spec() -> ProblemSpec:
-    space = SearchSpace(
-        (
+# The presets' specs, each built and checked once, at import.
+_PRESETS: dict[str, ProblemSpec] = {
+    "fairness-like": _preset(
+        space=SearchSpace((
             ParamSpec("learning_rate", ParamKind.LOG_UNIFORM_REAL, 1e-4, 1e-1),
             ParamSpec("regularization", ParamKind.LOG_UNIFORM_REAL, 1e-5, 1e-1),
             ParamSpec("hidden_width", ParamKind.CHOICE, choices=(32, 64, 128, 256)),
             ParamSpec(
                 "training_iterations", ParamKind.LOG_UNIFORM_INT, 64, 256, iteration_axis=True
             ),
-        )
-    )
-    return _preset(
-        space=space,
+        )),
         quality_terms=(
             LandscapeTerm("learning_rate", 0.55, 6.0),
             LandscapeTerm("regularization", 0.35, 2.5),
@@ -379,22 +383,16 @@ def _fairness_like_spec() -> ProblemSpec:
         osc_gain=0.04,
         constraint_cost=1.94,
         maximize=True,
-    )
-
-
-def _robustness_like_spec() -> ProblemSpec:
-    space = SearchSpace(
-        (
+    ),
+    "robustness-like": _preset(
+        space=SearchSpace((
             ParamSpec("learning_rate", ParamKind.LOG_UNIFORM_REAL, 1e-4, 1e-1),
             ParamSpec("augmentation_strength", ParamKind.UNIFORM_REAL, 0.0, 1.0),
             ParamSpec("weight_decay", ParamKind.LOG_UNIFORM_REAL, 1e-6, 1e-2),
             ParamSpec(
                 "training_iterations", ParamKind.LOG_UNIFORM_INT, 8, 256, iteration_axis=True
             ),
-        )
-    )
-    return _preset(
-        space=space,
+        )),
         quality_terms=(
             LandscapeTerm("learning_rate", 0.60, 5.0),
             LandscapeTerm("augmentation_strength", 0.35, 3.0),
@@ -411,20 +409,15 @@ def _robustness_like_spec() -> ProblemSpec:
         osc_gain=0.02,
         constraint_cost=23.98,
         maximize=False,
-    )
-
-
-_PRESET_BUILDERS: dict[str, Callable[[], ProblemSpec]] = {
-    "fairness-like": _fairness_like_spec,
-    "robustness-like": _robustness_like_spec,
+    ),
 }
-PRESET_NAMES = tuple(sorted(_PRESET_BUILDERS))
+PRESET_NAMES = tuple(sorted(_PRESETS))
 
 
 def problem_spec(preset: str, **overrides: object) -> ProblemSpec:
     """A preset's spec with any of its fields (the space included) overridden."""
     try:
-        spec = _PRESET_BUILDERS[preset]()
+        spec = _PRESETS[preset]
     except KeyError:
         raise ValueError(f"unknown preset {preset!r}; expected one of {PRESET_NAMES}") from None
     return replace(spec, **overrides) if overrides else spec  # type: ignore[arg-type]

@@ -404,6 +404,18 @@ class TestRunExperiment:
             run_experiment(problem, NoStoppingScheduler, budget=10.0, max_concurrent=0, seed=0)
 
 
+# A feasibility term whose headroom score exp(5000 * 0.65**2) overflows.
+_OVERFLOWING = (LandscapeTerm("learning_rate", 0.35, -5000.0),)
+_TERMS = st.lists(
+    st.tuples(
+        st.sampled_from(["learning_rate", "regularization"]),
+        st.floats(-0.5, 1.5),
+        st.floats(-1e4, 1e4),
+    ),
+    max_size=3,
+)
+
+
 class TestProblems:
     def test_preset_names(self):
         with pytest.raises(ValueError):
@@ -484,48 +496,59 @@ class TestProblems:
             ("osc_gain", -1.0),
             # A negative weight lifts the headroom score above 1.
             ("feasibility_terms", (LandscapeTerm("learning_rate", 0.35, -5.0),)),
+            # A score whose peak exp() overflows builds no curve, whatever the gains.
+            ("quality_terms", (LandscapeTerm("learning_rate", 0.5, -3000.0),)),
+            ("feasibility_terms", {"feasibility_terms": _OVERFLOWING, "osc_gain": 0.0}),
+            ("feasibility_terms", {"feasibility_terms": _OVERFLOWING, "osc_gain": -0.01}),
+            # sin's angle 2*pi*t/osc_period overflows.
+            ("osc_period", 1e-320),
         ],
     )
     def test_spec_rejects_values_no_curve_takes(self, field, value):
+        # A dict value also sets the other fields the rejected value needs.
+        overrides = value if isinstance(value, dict) else {field: value}
         with pytest.raises(ValueError, match=field):
-            make_problem("fairness-like", 0, **{field: value})
+            make_problem("fairness-like", 0, **overrides)
 
     @settings(max_examples=200, deadline=None)
     @given(
-        terms=st.lists(
-            st.tuples(
-                st.sampled_from(["learning_rate", "regularization"]),
-                st.floats(-0.5, 1.5),
-                st.floats(-6.0, 6.0),
-            ),
-            max_size=3,
-        ),
+        quality=_TERMS,
+        feasibility=_TERMS,
         osc_base=st.floats(0.0, 0.2),
-        osc_gain=st.floats(-0.2, 0.2),
+        osc_gain=st.one_of(st.floats(-0.2, 0.0), st.floats(0.0, 0.2)),
+        osc_period=st.one_of(st.floats(1e-320, 1e-300), st.floats(1e-300, 14.0)),
     )
-    def test_every_accepted_feasibility_term_builds_every_curve(self, terms, osc_base, osc_gain):
+    def test_every_accepted_feasibility_term_builds_every_curve(
+        self, quality, feasibility, osc_base, osc_gain, osc_period
+    ):
         try:
             spec = problem_spec(
                 "fairness-like",
-                feasibility_terms=tuple(LandscapeTerm(*term) for term in terms),
+                quality_terms=tuple(LandscapeTerm(*term) for term in quality),
+                feasibility_terms=tuple(LandscapeTerm(*term) for term in feasibility),
                 osc_base=osc_base,
                 osc_gain=osc_gain,
+                osc_period=osc_period,
             )
         except ValueError:
             return
         problem = object.__new__(SyntheticProblem)  # curve_for reads only the spec
         problem.spec = spec
-        # Each parameter at either bound or at a term's center, in normalized space.
-        points = [0.0, 1.0, *(min(max(center, 0.0), 1.0) for _, center, _ in terms)]
+        # Each parameter at either bound or at a term's center, in normalized space; each
+        # curve is read at t = 1 and at the axis's top value, where sin's angle is largest.
+        points = [0.0, 1.0, *(min(max(c, 0.0), 1.0) for _, c, _ in quality + feasibility)]
         for lr in points:
             for reg in points:
                 values = {
                     "learning_rate": math.exp(math.log(1e-4) + lr * math.log(1e3)),
                     "regularization": math.exp(math.log(1e-5) + reg * math.log(1e4)),
                     "hidden_width": 64,
-                    "training_iterations": 64,
+                    "training_iterations": 256,
                 }
-                problem.curve_for(Configuration(values, 64))
+                curve = problem.curve_for(Configuration(values, 256))
+                for t in (1, curve.max_iterations):
+                    assert math.isfinite(opt_curve_value(curve, t))
+                    assert math.isfinite(constraint_curve_value(curve, t))
 
     def test_negative_quality_weight_runs(self):
         # A quality weight shapes the objective only, unlike a feasibility weight.
