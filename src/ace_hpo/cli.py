@@ -246,15 +246,15 @@ def load_config(path: str | Path) -> dict:
 
 # One rule per exact cell type; any other type is a bug and raises KeyError.
 # No cell needs quoting: cells are numbers, true/false, enum values, statuses
-# and arm names (which match _ARM_NAME).
+# and arm names (which match _ARM_NAME). str.__str__ writes an enum cell as its value.
 _CELL: dict[type, Callable[[Any], str]] = {
     type(None): lambda _: "",
     bool: lambda value: "true" if value else "false",
     float: lambda value: format(value, ".17g"),
     int: str,
-    str: str,
-    Group: operator.attrgetter("value"),
-    Action: operator.attrgetter("value"),
+    str: str.__str__,
+    Group: str.__str__,
+    Action: str.__str__,
 }
 
 

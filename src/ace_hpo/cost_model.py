@@ -67,7 +67,8 @@ def expected_cost_exact(params: CostParams) -> float:
     """Expected trial cost by direct summation over the stopping point.
 
     The trial survives k-1 checks and stops at the k-th with probability
-    (1-p)^(k-1) * p, having trained k*interval iterations and paid for k
+    (1-p)^(k-1) * p, having trained min(k*interval, max_iterations)
+    iterations (the last check sits at max_iterations) and paid for k
     constraint evaluations; with probability (1-p)^z it survives all z
     checks and trains the full max_iterations.
     """
@@ -78,7 +79,7 @@ def expected_cost_exact(params: CostParams) -> float:
     c2 = params.primary_cost_per_iter
     total = q**z * (c1 * z + c2 * params.max_iterations)
     for k in range(1, z + 1):
-        total += q ** (k - 1) * p * (c1 * k + c2 * k * params.interval)
+        total += q ** (k - 1) * p * (c1 * k + c2 * min(k * params.interval, params.max_iterations))
     return total
 
 

@@ -25,13 +25,10 @@ import math
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    from .schedulers import Action
 
 __all__ = [
     "Group",
+    "Action",
     "ConstraintSpec",
     "CheckpointRecord",
     "CostLedger",
@@ -44,6 +41,11 @@ class Group(str, Enum):
     NO_CONSTRAINT = "no_constraint"
     VALID = "valid"
     INVALID = "invalid"
+
+
+class Action(str, Enum):
+    CONTINUE = "continue"
+    STOP = "stop"
 
 
 @dataclass(frozen=True)

@@ -20,10 +20,14 @@ scan for fully constraint-agnostic runs.
 Every scheduler records one checkpoint per training iteration into a shared
 :class:`~ace_hpo.history.RunningHistory` and writes its action and rank onto
 that checkpoint's record; the simulator performs the actual metered metric
-evaluations and charges their costs. ``on_trial_start`` creates the trial's
-row in the history with the constraint-evaluation interval from the
-scheduler's ``interval_for`` hook (None: no schedule); the schedulers read
-the interval back from that row.
+evaluations and charges their costs. A scheduler is three hooks:
+
+* ``interval_for(max_iterations)``: a starting trial's constraint-evaluation
+  interval (None: no schedule), fixed on its history row by ``on_trial_start``;
+* ``wants_constraint(trial_id, iteration, max_iterations, opt_metric)``:
+  whether ``step`` evaluates the constraint at this checkpoint;
+* ``decide(record)``: the action, rank-from-worst and group size of the
+  checkpoint's record, already in the history.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from enum import Enum
 from typing import Callable, Iterable
 
 from .cost_model import choose_interval
-from .history import CheckpointRecord, Group, RunningHistory
+from .history import Action, CheckpointRecord, Group, RunningHistory
 
 __all__ = [
     "Action",
@@ -53,11 +57,6 @@ __all__ = [
     "ScanResult",
     "post_hoc_feasibility_scan",
 ]
-
-
-class Action(str, Enum):
-    CONTINUE = "continue"
-    STOP = "stop"
 
 
 class StoppingMode(str, Enum):
@@ -142,11 +141,9 @@ class TrialScheduler:
         self.history = history
 
     def on_trial_start(self, trial_id: int, max_iterations: int) -> None:
-        """Create the trial's history row, its evaluation interval fixed there."""
         self.history.start_trial(trial_id, max_iterations, self.interval_for(max_iterations))
 
     def interval_for(self, max_iterations: int) -> int | None:
-        """Constraint-evaluation interval of a trial starting now (None: no schedule)."""
         return None
 
     def wants_constraint(
@@ -154,9 +151,7 @@ class TrialScheduler:
     ) -> bool:
         return False
 
-    def decide(
-        self, trial_id: int, iteration: int, max_iterations: int, record: CheckpointRecord
-    ) -> tuple[Action, int | None, int | None]:
+    def decide(self, record: CheckpointRecord) -> tuple[Action, int | None, int | None]:
         return Action.CONTINUE, None, None
 
     def step(
@@ -179,9 +174,7 @@ class TrialScheduler:
         value = evaluate() if want else None
         record = self.history.constraint.classify(trial_id, iteration, opt_metric, value)
         self.history.record_checkpoint(record)
-        action, record.rank, record.group_size = self.decide(
-            trial_id, iteration, max_iterations, record
-        )
+        action, record.rank, record.group_size = self.decide(record)
         record.action = Action.CONTINUE if iteration >= max_iterations else action
         return record
 
@@ -222,13 +215,11 @@ class AceScheduler(TrialScheduler):
             at_final_iteration=iteration >= max_iterations,
         )
 
-    def decide(
-        self, trial_id: int, iteration: int, max_iterations: int, record: CheckpointRecord
-    ) -> tuple[Action, int | None, int | None]:
+    def decide(self, record: CheckpointRecord) -> tuple[Action, int | None, int | None]:
         if self.config.stopping_mode is StoppingMode.HARD:
             action = Action.STOP if record.group is Group.INVALID else Action.CONTINUE
             return action, None, None
-        return _stratum_decision(self.config, self.history, trial_id, record.group)
+        return _stratum_decision(self.config, self.history, record.trial_id, record.group)
 
 
 @dataclass(frozen=True)
@@ -272,22 +263,20 @@ class AshaScheduler(TrialScheduler):
         self._rung_entries: dict[int, list[tuple[float, int]]] = {r: [] for r in config.rungs}
         self._rung_promotions = dict.fromkeys(config.rungs, 0)
 
-    def decide(
-        self, trial_id: int, iteration: int, max_iterations: int, record: CheckpointRecord
-    ) -> tuple[Action, int | None, int | None]:
-        entries = self._rung_entries.get(iteration)
+    def decide(self, record: CheckpointRecord) -> tuple[Action, int | None, int | None]:
+        entries = self._rung_entries.get(record.iteration)
         if entries is None:
             return Action.CONTINUE, None, None
         opt = math.inf if math.isnan(record.opt_metric) else record.opt_metric
-        entry = (opt, trial_id)
+        entry = (opt, record.trial_id)
         position = bisect_left(entries, entry)
         entries.insert(position, entry)
         rank = position + 1
         size = len(entries)
         cap = -(-size // self.config.reduction_factor)
-        promoted = self._rung_promotions[iteration]
+        promoted = self._rung_promotions[record.iteration]
         if rank <= cap and promoted < cap:
-            self._rung_promotions[iteration] = promoted + 1
+            self._rung_promotions[record.iteration] = promoted + 1
             return Action.CONTINUE, rank, size
         return Action.STOP, rank, size
 
@@ -321,10 +310,8 @@ class ConstraintCallback(TrialScheduler):
     ) -> bool:
         return iteration >= max_iterations
 
-    def decide(
-        self, trial_id: int, iteration: int, max_iterations: int, record: CheckpointRecord
-    ) -> tuple[Action, int | None, int | None]:
-        return self.inner.decide(trial_id, iteration, max_iterations, record)
+    def decide(self, record: CheckpointRecord) -> tuple[Action, int | None, int | None]:
+        return self.inner.decide(record)
 
 
 @dataclass(frozen=True)

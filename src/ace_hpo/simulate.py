@@ -229,9 +229,10 @@ class ProblemSpec:
                 raise ValueError(f"landscape term references unknown parameter {term.param!r}")
         # What every TrialCurve built from this spec needs. A score
         # exp(-sum(w * d**2)) has each d**2 in [0, max(|c|, |1 - c|)**2] for u
-        # in [0, 1], so it lies in [0, exp(peak)], with peak the sum over
-        # negative weights, which must keep exp(peak) a float. The amplitude,
-        # linear in the headroom score, is checked at both ends.
+        # in [0, 1], a bound that must be a float (else d**2 overflows), so it
+        # lies in [0, exp(peak)], with peak the sum over negative weights, which
+        # must keep exp(peak) a float. The amplitude, linear in the headroom
+        # score, is checked at both ends.
         if not 0.0 < self.primary_cost < math.inf:
             raise ValueError("primary_cost must be positive and finite")
         if not 0.0 <= self.constraint_cost < math.inf:
@@ -244,11 +245,14 @@ class ProblemSpec:
         if not self.constraint_rate_scale > 0.0:
             raise ValueError("constraint_rate_scale must be positive")
         for field in ("quality_terms", "feasibility_terms"):  # leaves the headroom's peak
-            peak = sum(
-                -t.weight * max(abs(t.center), abs(1.0 - t.center)) ** 2
-                for t in getattr(self, field)
-                if t.weight < 0.0
-            )
+            peak = 0.0
+            for t in getattr(self, field):
+                reach = max(abs(t.center), abs(1.0 - t.center))
+                square = reach * reach  # * overflows to inf, where ** raises OverflowError
+                if not math.isfinite(square):
+                    raise ValueError(f"{field}: center {t.center!r} has no float distance squared")
+                if t.weight < 0.0:
+                    peak -= t.weight * square
             if not peak < math.log(sys.float_info.max):
                 raise ValueError(f"{field}: the score's peak exp({peak:.6g}) exceeds every float")
         at_peak = self.osc_base + self.osc_gain * (1.0 - math.exp(peak))

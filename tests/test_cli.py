@@ -128,6 +128,13 @@ class TestConfigValidation:
             ),
             # Valid JSON that no file system takes as a path.
             ({"output_dir": "out\0x"}, "output_dir"),
+            # A center whose (u - center)**2 overflows once crashed the run mid-output.
+            (
+                _overrides(
+                    quality_terms=[{"param": "learning_rate", "center": 1e200, "weight": 5.0}]
+                ),
+                "quality_terms",
+            ),
         ],
     )
     def test_rejected_before_any_output(self, tmp_path, capsys, changes, key):

@@ -22,6 +22,13 @@ def test_exact_small_case_by_hand():
     assert expected_cost_exact(params) == pytest.approx(6.0, abs=1e-12)
 
 
+def test_exact_charges_a_partial_last_window_to_max_iterations():
+    # T = 3, interval 2: checks after iterations 2 and 3. Stop at k=1:
+    # 0.5 * (1 + 2) = 1.5; stop at k=2: 0.25 * (2 + 3) = 1.25; survive: 0.25 * 5.
+    params = CostParams(1.0, 1.0, 0.5, 3, 2)
+    assert expected_cost_exact(params) == pytest.approx(4.0, abs=1e-12)
+
+
 def test_exact_single_check_collapses():
     # One check at the end: cost is c1 + c2*T no matter the stop probability.
     params = CostParams(1.0, 3.0, 0.7, 10, 10)

@@ -1,10 +1,14 @@
 import math
+import random
+import statistics
 import tracemalloc
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ace_hpo.cost_model import CostParams, expected_cost_exact
 from ace_hpo.history import ConstraintSpec, CostLedger, Group, RunningHistory
 from ace_hpo.schedulers import (
     AceConfig,
@@ -14,6 +18,7 @@ from ace_hpo.schedulers import (
     AshaScheduler,
     ConstraintCallback,
     NoStoppingScheduler,
+    TrialScheduler,
 )
 from ace_hpo.search_space import Configuration, ParamKind, ParamSpec, SearchSpace, sample
 from ace_hpo.simulate import (
@@ -404,12 +409,64 @@ class TestRunExperiment:
             run_experiment(problem, NoStoppingScheduler, budget=10.0, max_concurrent=0, seed=0)
 
 
+class CoinScheduler(TrialScheduler):
+    """The trial the cost model prices: the constraint is checked every ``interval``
+    iterations and at the last, and a check stops the trial with probability ``p``,
+    by a coin keyed on (trial id, iteration)."""
+
+    performs_constraint_evaluations = True
+
+    def __init__(self, history: RunningHistory, interval: int, p: float):
+        super().__init__(history)
+        self.interval, self.p = interval, p
+
+    def interval_for(self, max_iterations):
+        return self.interval
+
+    def wants_constraint(self, trial_id, iteration, max_iterations, opt_metric):
+        return iteration % self.interval == 0 or iteration >= max_iterations
+
+    def decide(self, record):
+        key = record.trial_id << 32 | record.iteration
+        if record.evaluate_constraint and random.Random(key).random() < self.p:
+            return Action.STOP, None, None
+        return Action.CONTINUE, None, None
+
+
+class TestModelConformance:
+    """The simulator charges a trial what the cost model expects it to cost."""
+
+    # T = 16, p = 0.25 and c1 = 0.5 keep every cost a dyadic rational, so sums are exact.
+    @pytest.mark.parametrize(
+        "interval, budget",
+        [(1, 10_000.0), (16, 2_000.0), (4, 10_000.0), (7, 20_000.0), (10, 20_000.0)],
+        ids=["every_iteration", "final_only", "divides_t", "partial_window_7", "partial_window_10"],
+    )
+    def test_mean_trial_cost_matches_expected_cost(self, interval, budget):
+        t, p, c1 = 16, 0.25, 0.5
+        problem = fixed_length_problem(constraint_cost=c1, iterations=t)
+        result = run_experiment(
+            problem, lambda h: CoinScheduler(h, interval, p), budget, max_concurrent=1, seed=0
+        )
+        costs = Counter()
+        for record in result.history.records:
+            costs[record.trial_id] += 1.0 + (c1 if record.evaluate_constraint else 0.0)
+        assert math.fsum(costs.values()) == result.total_cost
+        done = [costs[r.trial_id] for r in result.history.trials if r.status != "budget_truncated"]
+        if interval == t:
+            assert set(done) == {t + c1}
+        mean = statistics.fmean(done)
+        standard_error = statistics.stdev(done) / math.sqrt(len(done))
+        expected = expected_cost_exact(CostParams(1.0, c1, p, t, interval))
+        assert abs(mean - expected) <= 4 * standard_error
+
+
 # A feasibility term whose headroom score exp(5000 * 0.65**2) overflows.
 _OVERFLOWING = (LandscapeTerm("learning_rate", 0.35, -5000.0),)
 _TERMS = st.lists(
     st.tuples(
         st.sampled_from(["learning_rate", "regularization"]),
-        st.floats(-0.5, 1.5),
+        st.one_of(st.floats(-0.5, 1.5), st.floats(-1e300, 1e300)),
         st.floats(-1e4, 1e4),
     ),
     max_size=3,
@@ -502,6 +559,9 @@ class TestProblems:
             ("feasibility_terms", {"feasibility_terms": _OVERFLOWING, "osc_gain": -0.01}),
             # sin's angle 2*pi*t/osc_period overflows.
             ("osc_period", 1e-320),
+            # (u - center)**2 overflows, whatever the weight's sign.
+            ("quality_terms", (LandscapeTerm("learning_rate", 1e200, 5.0),)),
+            ("quality_terms", (LandscapeTerm("learning_rate", 1e200, -5.0),)),
         ],
     )
     def test_spec_rejects_values_no_curve_takes(self, field, value):
