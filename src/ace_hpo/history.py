@@ -13,16 +13,14 @@ clock when it was set (metrics are minimized internally), and a ledger of
 charged costs from which the empirical constraint-to-training cost ratio is
 estimated.
 
-Once a trial's rank inside its constraint group is first asked for, the
-history keeps one sorted list of stratum keys per group and moves a row's
-key on each of its records, so a rank costs a bisect, not a scan of the
-group. Runs that never rank by group never build the lists.
+The history stratifies but does not rank: a row's group is the group of its
+latest record, and ranking state belongs to the stopping rule that ranks
+(see :mod:`ace_hpo.schedulers`).
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -194,17 +192,6 @@ class TrialSnapshot:
     status: str | None = None
 
 
-def _row_key(row: TrialSnapshot) -> tuple:
-    """Ascending ranking key of a row inside its constraint group, best first.
-
-    Invalid trials order by (latest violation, best optimization metric);
-    the other groups by best optimization metric alone. Ties break by trial id.
-    """
-    if row.group is Group.INVALID:
-        return (row.latest_violation, row.best_opt, row.trial_id)
-    return (row.best_opt, row.trial_id)
-
-
 class RunningHistory:
     """Single-writer record store shared by the simulator and the scheduler."""
 
@@ -215,8 +202,6 @@ class RunningHistory:
         self.best_feasible_time: float | None = None
         self.ledger = CostLedger()
         self._trials: dict[int, TrialSnapshot] = {}
-        # Sorted stratum keys of each group's rows; None until group_rank is first called.
-        self._group_keys: dict[Group, list[tuple]] | None = None
 
     @property
     def trials(self) -> list[TrialSnapshot]:
@@ -237,8 +222,7 @@ class RunningHistory:
         Recording a record twice raises: one object would stand for two
         checkpoints. A record of a trial never started gets a fresh row.
         Only a strictly lower metric moves a best, so ties keep the earlier
-        one and NaN never wins. Once :meth:`group_rank` has built the sorted
-        stratum keys, the row's key moves with the row.
+        one and NaN never wins.
         """
         if record.sim_time is not None:
             raise ValueError("checkpoint record already recorded")
@@ -258,47 +242,13 @@ class RunningHistory:
         row = self._trials.get(record.trial_id)
         if row is None:
             row = self._trials[record.trial_id] = TrialSnapshot(record.trial_id)
-        index = self._group_keys
-        old_group = row.group
-        old_key = _row_key(row) if index is not None and old_group is not None else None
         row.group = record.group
         if record.opt_metric < row.best_opt:
             row.best_opt = record.opt_metric
             row.best_iteration = record.iteration
         if record.group is Group.INVALID:
             row.latest_violation = record.violation_amount
-        if index is not None:
-            new_key = _row_key(row)
-            if old_group is not row.group or old_key != new_key:
-                if old_key is not None:
-                    self._drop_key(old_group, old_key)
-                insort(index[row.group], new_key)
         return record
-
-    def _drop_key(self, group: Group, key: tuple) -> None:
-        """Remove exactly this key from the group's sorted list; a miss is a bug."""
-        keys = self._group_keys[group]
-        i = bisect_left(keys, key)
-        if i == len(keys) or keys[i] != key:
-            raise RuntimeError(f"group keys out of sync with trial {key[-1]}")
-        del keys[i]
-
-    def group_rank(self, trial_id: int) -> tuple[int, int]:
-        """The trial's rank from worst (1 = worst) inside its group, and the group's size.
-
-        Members order by :func:`_row_key`. The first call builds the sorted
-        key lists; ``record_checkpoint`` keeps them current.
-        """
-        if self._group_keys is None:
-            self._group_keys = {group: [] for group in Group}
-            for member in self._trials.values():
-                if member.group is not None:
-                    self._group_keys[member.group].append(_row_key(member))
-            for keys in self._group_keys.values():
-                keys.sort()
-        row = self._trials[trial_id]
-        keys = self._group_keys[row.group]
-        return len(keys) - bisect_left(keys, _row_key(row)), len(keys)
 
     def group_members(self, group: Group) -> list[TrialSnapshot]:
         """Trials whose most recent checkpoint sits in the given group."""

@@ -28,18 +28,21 @@ evaluations and charges their costs. A scheduler is three hooks:
   whether ``step`` evaluates the constraint at this checkpoint;
 * ``decide(record)``: the action, rank-from-worst and group size of the
   checkpoint's record, already in the history.
+
+Each stopping rule owns its ranking state (ACE its stratum index, ASHA its
+rung pools); the history keeps the rows the rules rank, not their order.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable
 
 from .cost_model import choose_interval
-from .history import Action, CheckpointRecord, Group, RunningHistory
+from .history import Action, CheckpointRecord, Group, RunningHistory, TrialSnapshot
 
 __all__ = [
     "Action",
@@ -106,30 +109,60 @@ def ace_gate(
     return not gate_enabled or opt_metric <= history.best_feasible_score
 
 
-def _stratum_decision(
-    config: AceConfig, history: RunningHistory, trial_id: int, group: Group
-) -> tuple[Action, int, int]:
-    """Stop the trial iff it sits in the bottom floor(P * n) of its n-trial group.
+def _row_key(row: TrialSnapshot) -> tuple:
+    """Ascending ranking key of a row inside its constraint group, best first.
 
-    Members rank by the history's stratum key (best-so-far metric, never
-    NaN, and latest violation). Returns the action, the trial's
-    rank-from-worst from :meth:`RunningHistory.group_rank` (1 is the worst
-    member) and n.
+    Invalid trials order by (latest violation, best optimization metric);
+    the other groups by best optimization metric alone. Ties break by trial id.
     """
-    snap = history.trial_snapshot(trial_id)
-    if snap is None or snap.group is not group:
-        raise ValueError("trial has no current record in the queried group")
-    rank, size = history.group_rank(trial_id)
-    if rank <= math.floor(config.truncation_percentage * size):
-        return Action.STOP, rank, size
-    return Action.CONTINUE, rank, size
+    if row.group is Group.INVALID:
+        return (row.latest_violation, row.best_opt, row.trial_id)
+    return (row.best_opt, row.trial_id)
+
+
+class _StratumIndex:
+    """Each constraint group's sorted row keys, and the group and key each placed
+    row holds there, so a rank costs a bisect, not a scan of the group."""
+
+    def __init__(self, rows: Iterable[TrialSnapshot]):
+        self._keys: dict[Group, list[tuple]] = {group: [] for group in Group}
+        self._held: dict[int, tuple[Group, tuple]] = {}
+        for row in rows:
+            if row.group is not None:
+                self.place(row)
+
+    def place(self, row: TrialSnapshot) -> None:
+        """Move the row's held key to its current group and key; a miss is a bug."""
+        held, placed = self._held.get(row.trial_id), (row.group, _row_key(row))
+        if held == placed:
+            return
+        if held is not None:
+            keys = self._keys[held[0]]
+            i = bisect_left(keys, held[1])
+            if i == len(keys) or keys[i] != held[1]:
+                raise RuntimeError(f"stratum keys out of sync with trial {row.trial_id}")
+            del keys[i]
+        insort(self._keys[row.group], placed[1])
+        self._held[row.trial_id] = placed
+
+    def decide(self, trial_id: int, fraction: float) -> tuple[Action, int, int]:
+        """Stop a placed trial iff it sits in the bottom floor(fraction * n) of its
+        n-trial group; return the action, its rank-from-worst (1 is the worst) and n."""
+        group, key = self._held[trial_id]
+        size = len(self._keys[group])
+        rank = size - bisect_left(self._keys[group], key)
+        return Action.STOP if rank <= math.floor(fraction * size) else Action.CONTINUE, rank, size
 
 
 def stratum_should_stop(
     config: AceConfig, history: RunningHistory, trial_id: int, group: Group
 ) -> Action:
-    """The action of the stratum rule alone (see :func:`_stratum_decision`)."""
-    return _stratum_decision(config, history, trial_id, group)[0]
+    """The stratum rule's action for a trial, ranked against its group's current members."""
+    row = history.trial_snapshot(trial_id)
+    if row is None or row.group is not group:
+        raise ValueError("trial has no current record in the queried group")
+    index = _StratumIndex(history.group_members(group))
+    return index.decide(trial_id, config.truncation_percentage)[0]
 
 
 class TrialScheduler:
@@ -187,6 +220,7 @@ class AceScheduler(TrialScheduler):
     def __init__(self, config: AceConfig, history: RunningHistory):
         super().__init__(history)
         self.config = config
+        self._index = _StratumIndex(history.trials)
 
     def interval_for(self, max_iterations: int) -> int:
         """Fix a starting trial's constraint-evaluation interval for its lifetime.
@@ -219,7 +253,8 @@ class AceScheduler(TrialScheduler):
         if self.config.stopping_mode is StoppingMode.HARD:
             action = Action.STOP if record.group is Group.INVALID else Action.CONTINUE
             return action, None, None
-        return _stratum_decision(self.config, self.history, record.trial_id, record.group)
+        self._index.place(self.history.trial_snapshot(record.trial_id))
+        return self._index.decide(record.trial_id, self.config.truncation_percentage)
 
 
 @dataclass(frozen=True)

@@ -231,8 +231,9 @@ class ProblemSpec:
         # exp(-sum(w * d**2)) has each d**2 in [0, max(|c|, |1 - c|)**2] for u
         # in [0, 1], a bound that must be a float (else d**2 overflows), so it
         # lies in [0, exp(peak)], with peak the sum over negative weights, which
-        # must keep exp(peak) a float. The amplitude, linear in the headroom
-        # score, is checked at both ends.
+        # must keep exp(peak) a float. Each curve quantity is affine in its
+        # score, so it is checked at both ends of the score's range: the
+        # amplitude is nonnegative, and every curve value is a float.
         if not 0.0 < self.primary_cost < math.inf:
             raise ValueError("primary_cost must be positive and finite")
         if not 0.0 <= self.constraint_cost < math.inf:
@@ -244,7 +245,8 @@ class ProblemSpec:
             raise ValueError("osc_period must be positive, with sin's angle 2π·T/osc_period finite")
         if not self.constraint_rate_scale > 0.0:
             raise ValueError("constraint_rate_scale must be positive")
-        for field in ("quality_terms", "feasibility_terms"):  # leaves the headroom's peak
+        tops = []
+        for field in ("quality_terms", "feasibility_terms"):
             peak = 0.0
             for t in getattr(self, field):
                 reach = max(abs(t.center), abs(1.0 - t.center))
@@ -255,12 +257,29 @@ class ProblemSpec:
                     peak -= t.weight * square
             if not peak < math.log(sys.float_info.max):
                 raise ValueError(f"{field}: the score's peak exp({peak:.6g}) exceeds every float")
-        at_peak = self.osc_base + self.osc_gain * (1.0 - math.exp(peak))
+            tops.append(math.exp(peak))
+        at_peak = self.osc_base + self.osc_gain * (1.0 - tops[1])
         if not (self.osc_base + self.osc_gain >= 0.0 and at_peak >= 0.0):
             raise ValueError(
                 "osc_base + osc_gain * (1 - headroom) must be nonnegative for every headroom"
                 " score the feasibility_terms allow"
             )
+        for quality in (0.0, tops[0]):
+            limit = self.opt_base - self.opt_gain * quality
+            if not math.isfinite(self.opt_start - self.opt_start_gain * quality - limit):
+                raise ValueError(
+                    "opt_base, opt_gain, opt_start and opt_start_gain give the objective curve"
+                    f" a non-finite value at quality score {quality:.6g}"
+                )
+        for headroom in (0.0, tops[1]):
+            limit = self.constraint_base - self.constraint_gain * headroom
+            start = limit + self.constraint_lift
+            amplitude = self.osc_base + self.osc_gain * (1.0 - headroom)
+            if not all(map(math.isfinite, (limit, start, max(abs(limit), abs(start)) + amplitude))):
+                raise ValueError(
+                    "constraint_base, constraint_gain, constraint_lift, osc_base and osc_gain give"
+                    f" the constraint curve a non-finite value at headroom score {headroom:.6g}"
+                )
 
 
 class SyntheticProblem:

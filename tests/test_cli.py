@@ -135,6 +135,8 @@ class TestConfigValidation:
                 ),
                 "quality_terms",
             ),
+            # Finite gains whose amplitude overflows once crashed calibration.
+            (_overrides(osc_base=1e308, osc_gain=1e308), "osc_base"),
         ],
     )
     def test_rejected_before_any_output(self, tmp_path, capsys, changes, key):
@@ -518,6 +520,7 @@ class TestOutputContract:
         [
             ("ordering", "configs/ordering_experiment.json", [0]),
             ("gate-ablation", "configs/gate_ablation.json", [0, 1, 2]),
+            ("scale", "bench/configs/scale.json", [0]),
         ],
     )
     def test_outputs_match_reference_digests(self, tmp_path, workload, config, seeds):

@@ -11,8 +11,14 @@ from ace_hpo.history import (
     Group,
     RunningHistory,
 )
+from ace_hpo.schedulers import _StratumIndex
 
 TAU = ConstraintSpec(0.25)
+
+
+def group_rank(history, trial_id):
+    """The trial's rank from worst and its group's size, in an index of the history's rows."""
+    return _StratumIndex(history.trials).decide(trial_id, 0.5)[1:]
 
 
 def test_classify_each_group():
@@ -115,7 +121,7 @@ def test_non_finite_constraint_values_are_invalid_with_infinite_violation():
     history.record_checkpoint(TAU.classify(1, 1, 0.5, 0.1))
     history.record_checkpoint(TAU.classify(2, 1, 0.9, 0.3))
     history.record_checkpoint(TAU.classify(3, 1, 0.8, 5.0))
-    assert history.group_rank(3) == (1, 2)
+    assert group_rank(history, 3) == (1, 2)
     # Each non-finite trial has a better metric than the incumbent and ranks
     # by (inf, metric), so the newest, with the largest metric, is the worst.
     for trial, (opt, value) in enumerate([(0.1, math.nan), (0.2, math.inf), (0.3, -math.inf)], 4):
@@ -124,7 +130,7 @@ def test_non_finite_constraint_values_are_invalid_with_infinite_violation():
         assert record.group is Group.INVALID
         assert record.violation_amount == math.inf
         assert history.best_feasible_score == 0.5
-        assert history.group_rank(trial) == (1, trial - 1)
+        assert group_rank(history, trial) == (1, trial - 1)
     assert history.best_feasible_time == 0.0
 
 
@@ -167,14 +173,15 @@ _OPS = st.one_of(
 @settings(max_examples=300, deadline=None)
 @given(st.lists(_OPS, max_size=60), st.integers(0, 60))
 @example([("start", 0), ("start", 0)], 0)
-def test_group_rank_matches_brute_force_count(stream, first_rank_at):
+def test_stratum_index_matches_brute_force_count(stream, first_rank_at):
     # Rows are mirrored here (group, best metric under the strict "<" rule,
     # latest violation) and ranked by counting better members of the group.
-    # Ranks are asked for only from op `first_rank_at` on, so the sorted
-    # lists get built mid-stream and then kept current by record_checkpoint.
+    # The stratum index is built from the history's rows at op `first_rank_at`,
+    # mid-stream, and from then on each recorded row is placed in it.
     # Starting a trial that has a row raises and leaves the row as it was.
     history = RunningHistory(TAU)
     rows: dict[int, list] = {}
+    index = None
 
     def key(trial):
         group, best, violation = rows[trial]
@@ -197,11 +204,15 @@ def test_group_rank_matches_brute_force_count(stream, first_rank_at):
                 row[1] = opt
             if record.group is Group.INVALID:
                 row[2] = record.violation_amount
+            if index is not None:
+                index.place(history.trial_snapshot(trial))
         if i < first_rank_at:
             continue
+        if index is None:
+            index = _StratumIndex(history.trials)
         for trial, (group, _, _) in rows.items():
             if group is None:
                 continue
             members = [t for t, r in rows.items() if r[0] is group]
             better = sum(1 for t in members if key(t) < key(trial))
-            assert history.group_rank(trial) == (len(members) - better, len(members))
+            assert index.decide(trial, 0.5)[1:] == (len(members) - better, len(members))

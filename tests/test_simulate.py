@@ -562,6 +562,10 @@ class TestProblems:
             # (u - center)**2 overflows, whatever the weight's sign.
             ("quality_terms", (LandscapeTerm("learning_rate", 1e200, 5.0),)),
             ("quality_terms", (LandscapeTerm("learning_rate", 1e200, -5.0),)),
+            # Finite fields whose curve values overflow to inf, or to NaN once they meet.
+            ("opt_base", {"opt_base": 1e308, "opt_gain": -1e308}),
+            ("osc_base", {"osc_base": 1e308, "osc_gain": 1e308}),
+            ("constraint_base", {"constraint_base": 1e308, "constraint_gain": -1e308}),
         ],
     )
     def test_spec_rejects_values_no_curve_takes(self, field, value):
@@ -574,21 +578,28 @@ class TestProblems:
     @given(
         quality=_TERMS,
         feasibility=_TERMS,
-        osc_base=st.floats(0.0, 0.2),
-        osc_gain=st.one_of(st.floats(-0.2, 0.0), st.floats(0.0, 0.2)),
+        bases_and_gains=st.fixed_dictionaries({
+            name: st.one_of(
+                st.floats(0.0 if name == "osc_base" else -0.2, 0.2),
+                st.floats(-1e308, 1e308),
+                st.sampled_from((-1e308, 1e308)),
+            )
+            for name in (
+                "opt_base", "opt_gain", "constraint_base", "constraint_gain", "osc_base", "osc_gain"
+            )
+        }),
         osc_period=st.one_of(st.floats(1e-320, 1e-300), st.floats(1e-300, 14.0)),
     )
     def test_every_accepted_feasibility_term_builds_every_curve(
-        self, quality, feasibility, osc_base, osc_gain, osc_period
+        self, quality, feasibility, bases_and_gains, osc_period
     ):
         try:
             spec = problem_spec(
                 "fairness-like",
                 quality_terms=tuple(LandscapeTerm(*term) for term in quality),
                 feasibility_terms=tuple(LandscapeTerm(*term) for term in feasibility),
-                osc_base=osc_base,
-                osc_gain=osc_gain,
                 osc_period=osc_period,
+                **bases_and_gains,
             )
         except ValueError:
             return
