@@ -16,6 +16,9 @@ significant digits, true/false, empty for None, enums by value); no cell is
 quoted, lines end in CRLF, and reruns of the same config produce
 byte-identical files. The output directory is the ``--output-dir`` flag,
 else the config's ``output_dir`` key, else ``./results``.
+
+``run`` spreads its (arm, seed) runs over the CPUs in its affinity mask, and
+any worker count writes the same bytes.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ import dataclasses
 import functools
 import json
 import operator
+import os
 import re
 import statistics
 import sys
@@ -58,6 +62,10 @@ from .simulate import (
 from .validate import closed_form_equivalence_sweep, endpoint_optimality_sweep
 
 __all__ = ["main", "load_config"]
+
+# An in-process wrapper of run_experiment, such as the benchmark's tracer,
+# sees only calls made in this process, so cmd_run runs serially under one.
+_RUN_EXPERIMENT = run_experiment
 
 DEFAULT_OUTPUT_DIR = "results"
 
@@ -339,6 +347,37 @@ def _plus_minus(mean: float | None, std: float | None) -> str:
     return f"{mean:.6g} ± {std:.6g}"
 
 
+def _run_job(job: tuple) -> dict:
+    """One (arm, seed) run: writes its three run files and returns its summary record."""
+    arm, problem, budget, max_concurrent, space, out_dir, seed = job
+    factory = _scheduler_factory(arm["scheduler"], arm.get("params", {}), space)
+    result = run_experiment(problem, factory, budget, max_concurrent, seed)
+    _write_run_files(out_dir, arm["name"], seed, result)
+    return {"seed": seed, **{f: getattr(result, f) for f in SUMMARY_FIELDS}}
+
+
+def _map_jobs(jobs: list[tuple]) -> list[dict]:
+    """``_run_job`` over ``jobs``, results in job order, with one worker per CPU in
+    the affinity mask and at most one per job; no worker outlives the call."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        cpus = os.cpu_count() or 1
+    workers = min(len(jobs), cpus)
+    if workers == 1 or run_experiment is not _RUN_EXPERIMENT:
+        return list(map(_run_job, jobs))
+    import multiprocessing  # here, not at the top: a config load does not pay its import
+
+    # A forked worker inherits the imports and the draw caches; jobs pickle for any method.
+    method = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
+    pool = multiprocessing.get_context(method).Pool(workers)
+    try:
+        return list(pool.imap(_run_job, jobs))
+    finally:
+        pool.terminate()
+        pool.join()
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     seeds = _seeds(args.seed, "--seed") if args.seed else config["seeds"]
@@ -348,23 +387,22 @@ def cmd_run(args: argparse.Namespace) -> int:
     # One calibrated problem per seed; every arm shares it and nothing mutates it.
     problems = {seed: make_problem(preset, seed, **overrides) for seed in seeds}
     budget, max_concurrent = float(config["budget"]), int(config["max_concurrent"])
+    jobs = [
+        (arm, problems[seed], budget, max_concurrent, space, out_dir, seed)
+        for arm in config["arms"]
+        for seed in problems
+    ]
+    records = iter(_map_jobs(jobs))
     summary_rows: list[tuple] = []
     text_rows = [[column for column, _ in _TEXT_COLUMNS]]
     for arm in config["arms"]:
         name = arm["name"]
-        params = arm.get("params", {})
-        factory = _scheduler_factory(arm["scheduler"], params, space)
-        per_seed: list[dict] = []
-        for seed in problems:
-            result = run_experiment(problems[seed], factory, budget, max_concurrent, seed)
-            _write_run_files(out_dir, name, seed, result)
-            record = {"seed": seed, **{f: getattr(result, f) for f in SUMMARY_FIELDS}}
-            per_seed.append(record)
-            summary_rows.append((name, *record.values()))
+        per_seed = [next(records) for _ in problems]
+        summary_rows += [(name, *record.values()) for record in per_seed]
         summary = {
             "arm": name,
             "scheduler": arm["scheduler"],
-            "params": params,
+            "params": arm.get("params", {}),
             "problem": config["problem"]["preset"],
             "budget": budget,
             "max_concurrent": max_concurrent,

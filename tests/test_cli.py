@@ -5,6 +5,7 @@ import csv
 import functools
 import hashlib
 import json
+import multiprocessing
 import operator
 import os
 import statistics
@@ -17,6 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from ace_hpo import cli
 from ace_hpo.cli import ConfigError, _build, _scheduler_factory, load_config, main
 from ace_hpo.history import ConstraintSpec, RunningHistory
 from ace_hpo.schedulers import AceConfig, AshaConfig, IntervalMode, StoppingMode
@@ -262,6 +264,7 @@ def test_loading_a_config_imports_no_schema_library_and_builds_no_tables():
         "assert 'jsonschema' not in sys.modules\n"
         "assert streams._tables is None and streams._generator is None\n"
         "assert 'numpy.random' not in sys.modules\n"
+        "assert 'multiprocessing' not in sys.modules\n"
     )
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -533,6 +536,79 @@ class TestOutputContract:
             p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()
         }
         assert digests == expected
+
+
+_GET_CONTEXT = multiprocessing.get_context
+
+
+def _run_on_cpus(monkeypatch, config, out_dir, cpus, start_method=None):
+    """``run`` under an affinity mask of ``cpus`` CPUs, each pool made with
+    ``start_method`` if given; returns the exit code and each pool's start method."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    methods = []
+
+    def get_context(method=None):
+        context = _GET_CONTEXT(start_method or method)
+        methods.append(context.get_start_method())
+        return context
+
+    monkeypatch.setattr(multiprocessing, "get_context", get_context)
+    return main(["run", str(config), "--output-dir", str(out_dir)]), methods
+
+
+class TestWorkerPool:
+    """``run`` maps its (arm, seed) jobs over the CPUs in its affinity mask."""
+
+    @pytest.fixture
+    def config(self, tmp_path):
+        path = tmp_path / "config.json"
+        write_config(path, budget=300.0, arms=[_arm(kind) for kind in cli.SCHEDULER_KINDS])
+        return path
+
+    def test_outputs_identical_across_worker_counts_and_start_methods(
+        self, tmp_path, monkeypatch, config
+    ):
+        trees, methods = [], []
+        for cpus, start_method in ((1, None), (4, None), (4, "spawn")):
+            out = tmp_path / f"out{len(trees)}"
+            code, made = _run_on_cpus(monkeypatch, config, out, cpus, start_method)
+            assert code == 0
+            trees.append({p.name: p.read_bytes() for p in out.iterdir()})
+            methods.append(made)
+        default = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
+        assert methods == [[], [_GET_CONTEXT(default).get_start_method()], ["spawn"]]
+        # 4 arms x 2 seeds x 3 run files, 4 arm summaries, summary.csv and summary.txt.
+        assert len(trees[0]) == 4 * 2 * 3 + 4 + 2
+        assert trees[1] == trees[0] and trees[2] == trees[0]
+
+    def test_no_worker_outlives_a_run(self, tmp_path, monkeypatch, config):
+        code, methods = _run_on_cpus(monkeypatch, config, tmp_path / "out", 4)
+        assert code == 0 and len(methods) == 1
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("cpus, pools", [(1, 0), (4, 1)])
+    def test_io_error_in_a_job_exits_2_and_leaves_no_worker(
+        self, tmp_path, monkeypatch, capsys, config, cpus, pools
+    ):
+        out = tmp_path / "out"
+        (out / "asha_seed1_trials.csv").mkdir(parents=True)
+        code, methods = _run_on_cpus(monkeypatch, config, out, cpus)
+        assert code == 2 and len(methods) == pools
+        assert "i/o error" in capsys.readouterr().err
+        assert multiprocessing.active_children() == []
+
+    def test_wrapped_run_experiment_sees_every_job_in_process(self, tmp_path, monkeypatch, config):
+        """An in-process wrapper, such as the benchmark's tracer, gets the serial path."""
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[-1])
+            return cli._RUN_EXPERIMENT(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "run_experiment", counting)
+        code, methods = _run_on_cpus(monkeypatch, config, tmp_path / "out", 4)
+        assert code == 0 and methods == []
+        assert calls == [0, 1] * len(cli.SCHEDULER_KINDS)
 
 
 def test_traced_benchmark_run_writes_spans(tmp_path):
