@@ -18,7 +18,8 @@ byte-identical files. The output directory is the ``--output-dir`` flag,
 else the config's ``output_dir`` key, else ``./results``.
 
 ``run`` spreads its (arm, seed) runs over the CPUs in its affinity mask, and
-any worker count writes the same bytes.
+any worker count writes the same bytes. numpy is imported at the first draw,
+so loading a config, ``--help`` and ``cost-curve`` run without it.
 """
 
 from __future__ import annotations
@@ -59,7 +60,6 @@ from .simulate import (
     problem_spec,
     run_experiment,
 )
-from .validate import closed_form_equivalence_sweep, endpoint_optimality_sweep
 
 __all__ = ["main", "load_config"]
 
@@ -83,6 +83,10 @@ class ConfigError(Exception):
     message names the JSON path (``arms/0/params``) or the flag
     (``--seed``) and gives the class's own reason.
     """
+
+
+class JobError(Exception):
+    """An (arm, seed) run of ``run`` that ended without a result."""
 
 
 def _error(path: str, message: str) -> ConfigError:
@@ -358,7 +362,8 @@ def _run_job(job: tuple) -> dict:
 
 def _map_jobs(jobs: list[tuple]) -> list[dict]:
     """``_run_job`` over ``jobs``, results in job order, with one worker per CPU in
-    the affinity mask and at most one per job; no worker outlives the call."""
+    the affinity mask and at most one per job; no worker outlives the call. A
+    worker that dies raises JobError naming the first job left without a result."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity mask on this platform
@@ -366,16 +371,24 @@ def _map_jobs(jobs: list[tuple]) -> list[dict]:
     workers = min(len(jobs), cpus)
     if workers == 1 or run_experiment is not _RUN_EXPERIMENT:
         return list(map(_run_job, jobs))
-    import multiprocessing  # here, not at the top: a config load does not pay its import
+    # Here, not at the top: a config load does not pay their import.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
 
     # A forked worker inherits the imports and the draw caches; jobs pickle for any method.
     method = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
-    pool = multiprocessing.get_context(method).Pool(workers)
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context(method))
+    records: list[dict] = []
     try:
-        return list(pool.imap(_run_job, jobs))
+        for record in pool.map(_run_job, jobs):
+            records.append(record)
+    except BrokenProcessPool as exc:
+        arm, *_, seed = jobs[len(records)]
+        raise JobError(f"worker died: arm {arm['name']} seed {seed} got no result ({exc})") from None
     finally:
-        pool.terminate()
-        pool.join()
+        pool.shutdown(cancel_futures=True)
+    return records
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -476,6 +489,8 @@ def cmd_cost_curve(args: argparse.Namespace) -> int:
 
 
 def cmd_validate_theorem(args: argparse.Namespace) -> int:
+    from .validate import closed_form_equivalence_sweep, endpoint_optimality_sweep
+
     seed = _seeds([args.seed], "--seed")[0]
     try:
         endpoint = endpoint_optimality_sweep(cases=args.cases, seed=seed)
@@ -544,7 +559,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, JobError) as exc:
         print(str(exc), file=sys.stderr)
         return 2
     except OSError as exc:

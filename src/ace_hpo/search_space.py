@@ -34,6 +34,8 @@ class ParamKind(str, Enum):
 
 _RANGED = (ParamKind.LOG_UNIFORM_REAL, ParamKind.UNIFORM_REAL, ParamKind.LOG_UNIFORM_INT)
 _LOG_KINDS = (ParamKind.LOG_UNIFORM_REAL, ParamKind.LOG_UNIFORM_INT)
+# Calibration scans every iteration of its probes: about 5 s per seed at this top.
+_MAX_ITERATIONS = 2**16
 
 
 @dataclass(frozen=True)
@@ -93,10 +95,22 @@ class SearchSpace:
         axes = [p for p in self.params if p.iteration_axis]
         if len(axes) != 1:
             raise ValueError(f"exactly one parameter must set iteration_axis, not {len(axes)}")
+        if self.max_iterations > _MAX_ITERATIONS:
+            raise ValueError(
+                f"{axes[0].name}: the iteration axis tops out at {self.max_iterations},"
+                f" above {_MAX_ITERATIONS}"
+            )
 
     @cached_property
     def iteration_axis(self) -> ParamSpec:
         return next(p for p in self.params if p.iteration_axis)
+
+    @cached_property
+    def draw_table(self) -> tuple[tuple, ...]:
+        """How :func:`sample` draws each parameter, as plain data: (name, kind
+        code, lower and upper bound of the uniform draw, then the (low, high)
+        clamp of an integer or the options of a choice)."""
+        return tuple(_table_entry(p) for p in self.params)
 
     @property
     def max_iterations(self) -> int:
@@ -117,18 +131,34 @@ class Configuration:
             raise ValueError("max_iterations must be >= 1")
 
 
-def _sample_param(spec: ParamSpec, draws: Draws, i: int) -> Any:
-    """numpy's draw for the spec from stream i: ``uniform`` in (log) bounds, or
-    ``integers`` over the choices."""
+_UNIFORM, _LOG_UNIFORM, _LOG_INT, _CHOICE = range(4)
+
+
+def _table_entry(spec: ParamSpec) -> tuple:
+    """One row of :attr:`SearchSpace.draw_table`."""
     if spec.kind is ParamKind.UNIFORM_REAL:
-        return draws.uniform(i, float(spec.low), float(spec.high))
+        return spec.name, _UNIFORM, float(spec.low), float(spec.high), ()
+    if spec.kind is ParamKind.CHOICE:
+        return spec.name, _CHOICE, 0.0, 0.0, spec.choices
+    low, high = math.log(spec.low), math.log(spec.high)
     if spec.kind is ParamKind.LOG_UNIFORM_REAL:
-        return math.exp(draws.uniform(i, math.log(spec.low), math.log(spec.high)))
-    if spec.kind is ParamKind.LOG_UNIFORM_INT:
-        # Uniform in log space, rounded down, clamped into the bounds.
-        raw = math.floor(math.exp(draws.uniform(i, math.log(spec.low), math.log(spec.high))))
-        return int(min(max(raw, spec.low), spec.high))
-    return spec.choices[draws.integers(i, len(spec.choices))]
+        return spec.name, _LOG_UNIFORM, low, high, ()
+    return spec.name, _LOG_INT, low, high, (int(spec.low), int(spec.high))
+
+
+def _draw_param(entry: tuple, draws: Draws, i: int) -> Any:
+    """numpy's draw for a table entry from stream i: ``uniform`` in (log) bounds,
+    or ``integers`` over the choices."""
+    _, kind, low, high, values = entry
+    if kind == _CHOICE:
+        return values[draws.integers(i, len(values))]
+    value = draws.uniform(i, low, high)
+    if kind == _UNIFORM:
+        return value
+    if kind == _LOG_UNIFORM:
+        return math.exp(value)
+    # Uniform in log space, rounded down, clamped into the bounds.
+    return min(max(math.floor(math.exp(value)), values[0]), values[1])
 
 
 _BLOCK = 64
@@ -139,9 +169,9 @@ def sample(space: SearchSpace, seed: int, trial_index: int = 0) -> Configuration
     j draws from ``PCG64(SeedSequence(seed, spawn_key=(trial_index, j)))``."""
     if trial_index < 0:
         raise ValueError("trial_index must be nonnegative")
-    offset, n = trial_index % _BLOCK, len(space.params)
+    table = space.draw_table
+    offset, n = trial_index % _BLOCK, len(table)
     block = grid_draws(seed, trial_index - offset, _BLOCK, 0, n)
-    values = {
-        spec.name: _sample_param(spec, block, offset * n + j) for j, spec in enumerate(space.params)
-    }
+    first = offset * n
+    values = {entry[0]: _draw_param(entry, block, first + j) for j, entry in enumerate(table)}
     return Configuration(values, int(values[space.iteration_axis.name]))

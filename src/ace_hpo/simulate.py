@@ -22,8 +22,6 @@ import sys
 from dataclasses import dataclass, replace
 from typing import Callable, Iterator
 
-import numpy as np
-
 from .history import ConstraintSpec, CostLedger, RunningHistory, TrialSnapshot
 from .schedulers import Action, TrialScheduler, post_hoc_feasibility_scan
 from .search_space import (
@@ -351,6 +349,8 @@ class SyntheticProblem:
         )
 
     def _calibrated_threshold(self) -> float:
+        import numpy as np  # here, not at the top: a config load does not import numpy
+
         probe_seed = self._PROBE_SEED_OFFSET + self.problem_seed
         minima = [
             _min_constraint_value(self.curve_for(sample(self.spec.space, probe_seed, i)))

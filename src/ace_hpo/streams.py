@@ -10,14 +10,14 @@ and bounded integer the same way. A draw the first word cannot settle (a
 ziggurat wedge or tail, a Lemire rejection) sets the stream's state on the
 one module-level generator and lets numpy draw, so draws are single-threaded.
 Every key word must lie in [0, 2**32); any other word raises ValueError.
+numpy is imported at the first derivation, so importing this module does not
+load it.
 """
 
 from __future__ import annotations
 
 import functools
 from typing import NamedTuple
-
-import numpy as np
 
 __all__ = ["Draws", "seed_draws", "grid_draws"]
 
@@ -29,7 +29,8 @@ _PCG_HI, _PCG_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
 _PCG = _PCG_HI << 64 | _PCG_LO
 _PCG_INVERSE = pow(_PCG, -1, 2**128)
 
-# Built at the first derivation, so that importing touches no numpy.random.
+# numpy, the generator and the tables are bound at the first derivation (_load).
+np = None
 _generator: np.random.Generator | None = None
 _lcg = {"state": 0, "inc": 0}  # refilled in place for each draw
 _full_state = {"bit_generator": "PCG64", "state": _lcg, "has_uint32": 0, "uinteger": 0}
@@ -214,6 +215,15 @@ class Draws(NamedTuple):
         return int(_generator_at(self.states[:, i].tolist()).integers(count))
 
 
+def _load() -> None:
+    """Import numpy and build the tables, once per process."""
+    global np, _tables
+    if _tables is None:
+        import numpy as np
+
+        _tables = _build_tables()
+
+
 def seed_draws(seed: int, keys) -> Draws:
     """The first draws of ``PCG64(SeedSequence(seed, spawn_key=key))`` for each key.
 
@@ -222,6 +232,7 @@ def seed_draws(seed: int, keys) -> Draws:
     and checks them and the derivation against numpy, raising RuntimeError if
     they differ.
     """
+    _load()
     keys = np.asarray(keys)
     if not ((keys >= 0) & (keys <= _M32)).all():
         raise ValueError("key words must lie in [0, 2**32)")
@@ -229,10 +240,7 @@ def seed_draws(seed: int, keys) -> Draws:
 
 
 def _draws(seed: int, words: list[np.ndarray]) -> Draws:
-    """:func:`_derive` with the normals, the tables built at the first call."""
-    global _tables
-    if _tables is None:
-        _tables = _build_tables()
+    """:func:`_derive` with the normals."""
     states, first = _derive(int(seed), words)
     return Draws(_normals(first), first, states)
 
@@ -247,6 +255,7 @@ def grid_draws(
     ends = (row_start, row_start + rows - 1, col_start, col_start + cols - 1, *tail)
     if not all(0 <= word <= _M32 for word in ends):
         raise ValueError("key words must lie in [0, 2**32)")
+    _load()
     row = np.arange(row_start, row_start + rows, dtype=np.uint32)[:, None]
     col = np.arange(col_start, col_start + cols, dtype=np.uint32)
     draws = _draws(seed, [row, col, *(np.array(word, np.uint32) for word in tail)])

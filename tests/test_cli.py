@@ -139,6 +139,8 @@ class TestConfigValidation:
             ),
             # Finite gains whose amplitude overflows once crashed calibration.
             (_overrides(osc_base=1e308, osc_gain=1e308), "osc_base"),
+            # An axis this long would calibrate for hours before any output.
+            ({"space": {"params": [dict(_AXIS, high=1e9)]}}, "at space: steps: the iteration axis"),
         ],
     )
     def test_rejected_before_any_output(self, tmp_path, capsys, changes, key):
@@ -255,6 +257,14 @@ def test_loader_raises_only_config_error(tmp_path, data):
         pass
 
 
+def _child_env():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p
+    )
+    return env
+
+
 def test_loading_a_config_imports_no_schema_library_and_builds_no_tables():
     code = (
         "import sys\n"
@@ -263,19 +273,44 @@ def test_loading_a_config_imports_no_schema_library_and_builds_no_tables():
         "load_config(sys.argv[1])\n"
         "assert 'jsonschema' not in sys.modules\n"
         "assert streams._tables is None and streams._generator is None\n"
-        "assert 'numpy.random' not in sys.modules\n"
+        "assert 'numpy' not in sys.modules\n"
         "assert 'multiprocessing' not in sys.modules\n"
-    )
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p
     )
     config = REPO / "configs" / "ordering_experiment.json"
     proc = subprocess.run(
         [sys.executable, "-c", code, str(config)],
-        env=env, capture_output=True, text=True, timeout=120,
+        env=_child_env(), capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_commands_that_draw_nothing_run_without_numpy(tmp_path):
+    """A config check, ``cost-curve``, ``--help`` and a config error never need numpy."""
+    code = (
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from ace_hpo.cli import load_config, main\n"
+        "config, curve, absent = sys.argv[1:]\n"
+        "load_config(config)\n"
+        "codes = [main(['cost-curve', '--output', curve])]\n"
+        "try:\n"
+        "    main(['--help'])\n"
+        "except SystemExit as exc:\n"
+        "    codes.append(exc.code)\n"
+        "codes.append(main(['run', absent]))\n"
+        "print(codes)\n"
+    )
+    curve = tmp_path / "curve.csv"
+    config = REPO / "configs" / "ordering_experiment.json"
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(config), str(curve), str(tmp_path / "absent.json")],
+        env=_child_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 2]"
+    assert "absent.json" in proc.stderr
+    assert main(["cost-curve", "--output", str(tmp_path / "with_numpy.csv")]) == 0
+    assert curve.read_bytes() == (tmp_path / "with_numpy.csv").read_bytes()
 
 
 class TestRunCommand:
@@ -597,6 +632,35 @@ class TestWorkerPool:
         assert "i/o error" in capsys.readouterr().err
         assert multiprocessing.active_children() == []
 
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(), reason="needs the fork start method"
+    )
+    def test_killed_worker_exits_2_naming_the_job(self, tmp_path, config):
+        """A worker killed mid-job, as by the OOM killer, ends the run instead of hanging it."""
+        code = (
+            "import multiprocessing, os, signal, sys, time\n"
+            "from ace_hpo import cli\n"
+            "os.sched_getaffinity = lambda pid: {0, 1, 2, 3}\n"
+            "run_job = cli._run_job\n"
+            "def dying(job):\n"
+            "    if job[0]['name'] == 'no_stopping' and job[-1] == 1:\n"
+            "        time.sleep(1)  # lets the other workers finish every earlier job\n"
+            "        os.kill(os.getpid(), signal.SIGKILL)\n"
+            "    return run_job(job)\n"
+            "cli._run_job = dying\n"
+            "code = cli.main(['run', sys.argv[1], '--output-dir', sys.argv[2]])\n"
+            "assert multiprocessing.active_children() == []\n"
+            "sys.exit(code)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code, str(config), str(tmp_path / "out")],
+            env=_child_env(), capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 2, proc.stderr
+        # The killed job is the last one, so it is the first left without a result.
+        [line] = proc.stderr.splitlines()
+        assert line.startswith("worker died: arm no_stopping seed 1 got no result")
+
     def test_wrapped_run_experiment_sees_every_job_in_process(self, tmp_path, monkeypatch, config):
         """An in-process wrapper, such as the benchmark's tracer, gets the serial path."""
         calls = []
@@ -614,16 +678,12 @@ class TestWorkerPool:
 def test_traced_benchmark_run_writes_spans(tmp_path):
     """``bench/tracer.py`` still hooks the package: a traced smoke run succeeds."""
     spans = tmp_path / "spans.npz"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p
-    )
     command = [
         sys.executable, str(REPO / "bench" / "tracer.py"), str(spans),
         "run", str(REPO / "bench" / "configs" / "smoke.json"),
         "--output-dir", str(tmp_path / "out"),
     ]
-    proc = subprocess.run(command, env=env, capture_output=True, text=True, timeout=300)
+    proc = subprocess.run(command, env=_child_env(), capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert spans.exists()
 

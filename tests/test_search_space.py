@@ -1,4 +1,5 @@
 import math
+import pickle
 from collections import Counter
 
 import pytest
@@ -38,6 +39,30 @@ def test_sample_is_independent_of_draw_order():
     space = small_space()
     forward = [sample(space, 11, i) for i in range(9)]
     assert [sample(space, 11, i) for i in reversed(range(9))] == forward[::-1]
+
+
+def test_space_pickles_with_its_draw_table():
+    # Jobs pickle the space after calibration has built the table: it is plain data.
+    space = small_space()
+    before = [sample(space, 5, i) for i in range(70)]
+    copy = pickle.loads(pickle.dumps(space))
+    assert copy.draw_table == space.draw_table
+    assert [sample(copy, 5, i) for i in range(70)] == before
+
+
+@pytest.mark.parametrize(
+    "axis",
+    [
+        lambda top: ParamSpec("n", ParamKind.LOG_UNIFORM_INT, 1, top, iteration_axis=True),
+        lambda top: ParamSpec("n", ParamKind.CHOICE, choices=(8, top), iteration_axis=True),
+    ],
+    ids=["log_uniform_int", "choice"],
+)
+def test_iteration_axis_tops_out_at_2_to_the_16(axis):
+    # Calibration time grows with the axis's top value: about 5 s per seed at 2**16.
+    assert SearchSpace((axis(2**16),)).max_iterations == 2**16
+    with pytest.raises(ValueError, match="n: the iteration axis tops out at 65537, above 65536"):
+        SearchSpace((axis(2**16 + 1),))
 
 
 def test_axis_sets_trial_budget():

@@ -251,7 +251,7 @@ class TestFirstDraws:
         # highest draw of [5, 6] rounds up to 6 itself.
         spec = ParamSpec("width", ParamKind.LOG_UNIFORM_INT, 5, 6)
         draws = crafted_draws([0, 2**64 - 1])
-        got = [search_space._sample_param(spec, draws, i) for i in range(2)]
+        got = [search_space._draw_param(search_space._table_entry(spec), draws, i) for i in range(2)]
         assert got == [fresh_param(spec, generator_with(row)) for row in draws.states.T.tolist()]
         assert got == [5, 6]
 
