@@ -353,8 +353,8 @@ def _plus_minus(mean: float | None, std: float | None) -> str:
 
 def _run_job(job: tuple) -> dict:
     """One (arm, seed) run: writes its three run files and returns its summary record."""
-    arm, problem, budget, max_concurrent, space, out_dir, seed = job
-    factory = _scheduler_factory(arm["scheduler"], arm.get("params", {}), space)
+    arm, problem, budget, max_concurrent, out_dir, seed = job
+    factory = _scheduler_factory(arm["scheduler"], arm.get("params", {}), problem.spec.space)
     result = run_experiment(problem, factory, budget, max_concurrent, seed)
     _write_run_files(out_dir, arm["name"], seed, result)
     return {"seed": seed, **{f: getattr(result, f) for f in SUMMARY_FIELDS}}
@@ -373,12 +373,15 @@ def _map_jobs(jobs: list[tuple]) -> list[dict]:
         return list(map(_run_job, jobs))
     # Here, not at the top: a config load does not pay their import.
     import multiprocessing
+    import signal
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
     # A forked worker inherits the imports and the draw caches; jobs pickle for any method.
+    # Workers ignore SIGINT, so an idle one prints no traceback; on Ctrl-C the parent ends them.
     method = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context(method))
+    context, ignore = multiprocessing.get_context(method), (signal.SIGINT, signal.SIG_IGN)
+    pool = ProcessPoolExecutor(workers, context, initializer=signal.signal, initargs=ignore)
     records: list[dict] = []
     try:
         for record in pool.map(_run_job, jobs):
@@ -386,6 +389,10 @@ def _map_jobs(jobs: list[tuple]) -> list[dict]:
     except BrokenProcessPool as exc:
         arm, *_, seed = jobs[len(records)]
         raise JobError(f"worker died: arm {arm['name']} seed {seed} got no result ({exc})") from None
+    except KeyboardInterrupt:  # waiting out the jobs in flight would make Ctrl-C slow
+        for worker in multiprocessing.active_children():
+            worker.terminate()
+        raise
     finally:
         pool.shutdown(cancel_futures=True)
     return records
@@ -394,14 +401,14 @@ def _map_jobs(jobs: list[tuple]) -> list[dict]:
 def cmd_run(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     seeds = _seeds(args.seed, "--seed") if args.seed else config["seeds"]
-    preset, overrides, space = _problem(config)
+    preset, overrides, _ = _problem(config)
     out_dir = _resolve_output_dir(args.output_dir, config)
     out_dir.mkdir(parents=True, exist_ok=True)
     # One calibrated problem per seed; every arm shares it and nothing mutates it.
     problems = {seed: make_problem(preset, seed, **overrides) for seed in seeds}
     budget, max_concurrent = float(config["budget"]), int(config["max_concurrent"])
     jobs = [
-        (arm, problems[seed], budget, max_concurrent, space, out_dir, seed)
+        (arm, problems[seed], budget, max_concurrent, out_dir, seed)
         for arm in config["arms"]
         for seed in problems
     ]
@@ -565,6 +572,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 2
+    except KeyboardInterrupt:
+        print("interrupted: any output written so far is incomplete", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

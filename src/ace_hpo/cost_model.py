@@ -150,24 +150,20 @@ def choose_interval(cost_ratio: float, stop_probability: float, max_iterations: 
 
 
 def brute_force_optimal_interval(
-    cost_ratio: float,
-    stop_probability: float,
-    max_iterations: int,
-    primary_cost_per_iter: float = 1.0,
+    cost_ratio: float, stop_probability: float, max_iterations: int
 ) -> tuple[int, float]:
     """Scan every integer interval in [1, max_iterations] for the cheapest one.
 
     Independent check of the endpoint-optimality result: evaluates the
     closed form at each interval and returns (argmin, min cost), keeping
-    the smallest interval on ties within 1e-12 relative cost.
+    the smallest interval on ties within 1e-12 relative cost. Training costs
+    1 per iteration: the closed form is linear in it, so the argmin is not.
     """
     _check_interval_args(cost_ratio, stop_probability, max_iterations)
-    if not primary_cost_per_iter > 0:
-        raise ValueError("primary_cost_per_iter must be positive")
     best_interval = 1
-    best_cost = _closed_form(primary_cost_per_iter, cost_ratio, stop_probability, max_iterations, 1)
+    best_cost = _closed_form(1.0, cost_ratio, stop_probability, max_iterations, 1)
     for beta in range(2, max_iterations + 1):
-        cost = _closed_form(primary_cost_per_iter, cost_ratio, stop_probability, max_iterations, beta)
+        cost = _closed_form(1.0, cost_ratio, stop_probability, max_iterations, beta)
         if cost < best_cost * (1.0 - 1e-12):
             best_interval = beta
             best_cost = cost

@@ -4,6 +4,7 @@ Every parameter draw is keyed by (seed, trial index, parameter index)
 through a dedicated generator stream, so the i-th candidate configuration
 depends only on the seed and i: runs that stop early, interleave trials
 differently, or change concurrency all see the same candidate sequence.
+:func:`unit_values` places a value back in [0, 1] from the table it was drawn with.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ __all__ = [
     "SearchSpace",
     "Configuration",
     "sample",
+    "unit_values",
 ]
 
 
@@ -59,6 +61,8 @@ class ParamSpec:
                 raise ValueError(f"{self.name}: bounds must be finite, with a finite range")
             if self.kind in _LOG_KINDS and self.low <= 0:
                 raise ValueError(f"{self.name}: log-scale bounds must be positive")
+            if self.kind in _LOG_KINDS and not math.log(self.low) < math.log(self.high):
+                raise ValueError(f"{self.name}: log-scale bounds must have distinct logs")
             if self.kind is ParamKind.LOG_UNIFORM_INT and (
                 self.low != int(self.low) or self.high != int(self.high)
             ):
@@ -107,9 +111,9 @@ class SearchSpace:
 
     @cached_property
     def draw_table(self) -> tuple[tuple, ...]:
-        """How :func:`sample` draws each parameter, as plain data: (name, kind
-        code, lower and upper bound of the uniform draw, then the (low, high)
-        clamp of an integer or the options of a choice)."""
+        """Each parameter's scale, as plain data: (name, kind code, bounds of the
+        uniform draw, an integer's (low, high) clamp or a choice's options, then the
+        origin and width by which :func:`unit_values` places a value)."""
         return tuple(_table_entry(p) for p in self.params)
 
     @property
@@ -135,21 +139,24 @@ _UNIFORM, _LOG_UNIFORM, _LOG_INT, _CHOICE = range(4)
 
 
 def _table_entry(spec: ParamSpec) -> tuple:
-    """One row of :attr:`SearchSpace.draw_table`."""
+    """One row of :attr:`SearchSpace.draw_table`. A linear parameter is placed
+    from its bounds as given: integer bounds subtract exactly where floats round."""
     if spec.kind is ParamKind.UNIFORM_REAL:
-        return spec.name, _UNIFORM, float(spec.low), float(spec.high), ()
-    if spec.kind is ParamKind.CHOICE:
-        return spec.name, _CHOICE, 0.0, 0.0, spec.choices
+        bounds = float(spec.low), float(spec.high)
+        return spec.name, _UNIFORM, *bounds, (), spec.low, spec.high - spec.low
+    if spec.kind is ParamKind.CHOICE:  # index / (n - 1), or 0.5 for a single choice
+        place = (0, len(spec.choices) - 1) if len(spec.choices) > 1 else (-0.5, 1)
+        return spec.name, _CHOICE, 0.0, 0.0, spec.choices, *place
     low, high = math.log(spec.low), math.log(spec.high)
     if spec.kind is ParamKind.LOG_UNIFORM_REAL:
-        return spec.name, _LOG_UNIFORM, low, high, ()
-    return spec.name, _LOG_INT, low, high, (int(spec.low), int(spec.high))
+        return spec.name, _LOG_UNIFORM, low, high, (), low, high - low
+    return spec.name, _LOG_INT, low, high, (int(spec.low), int(spec.high)), low, high - low
 
 
 def _draw_param(entry: tuple, draws: Draws, i: int) -> Any:
     """numpy's draw for a table entry from stream i: ``uniform`` in (log) bounds,
     or ``integers`` over the choices."""
-    _, kind, low, high, values = entry
+    _, kind, low, high, values, _, _ = entry
     if kind == _CHOICE:
         return values[draws.integers(i, len(values))]
     value = draws.uniform(i, low, high)
@@ -175,3 +182,16 @@ def sample(space: SearchSpace, seed: int, trial_index: int = 0) -> Configuration
     first = offset * n
     values = {entry[0]: _draw_param(entry, block, first + j) for j, entry in enumerate(table)}
     return Configuration(values, int(values[space.iteration_axis.name]))
+
+
+def unit_values(space: SearchSpace, config: Configuration) -> dict[str, float]:
+    """Each parameter's position in [0, 1]: (its value, log or index - origin) / width."""
+    out: dict[str, float] = {}
+    for name, kind, _, _, choices, origin, width in space.draw_table:
+        value = config.values[name]
+        if kind == _CHOICE:
+            value = choices.index(value)
+        elif kind != _UNIFORM:
+            value = math.log(value)
+        out[name] = min(max((value - origin) / width, 0.0), 1.0)
+    return out

@@ -24,13 +24,7 @@ from typing import Callable, Iterator
 
 from .history import ConstraintSpec, CostLedger, RunningHistory, TrialSnapshot
 from .schedulers import Action, TrialScheduler, post_hoc_feasibility_scan
-from .search_space import (
-    Configuration,
-    ParamKind,
-    ParamSpec,
-    SearchSpace,
-    sample,
-)
+from .search_space import Configuration, ParamKind, ParamSpec, SearchSpace, sample, unit_values
 from .streams import grid_draws, seed_draws
 
 __all__ = [
@@ -172,7 +166,7 @@ def eval_constraint_metric(curve: TrialCurve, t: int, normal: float, meter: Cost
 
 @dataclass(frozen=True)
 class LandscapeTerm:
-    """One squared-distance pull toward a center in normalized parameter space."""
+    """One squared-distance pull toward a center on a parameter's [0, 1] scale."""
 
     param: str
     center: float
@@ -183,7 +177,7 @@ class LandscapeTerm:
 class ProblemSpec:
     """Deterministic mapping from configurations to trial curves.
 
-    Two Gaussian bump scores over the normalized hyperparameters shape each
+    Two Gaussian bump scores over the hyperparameters' unit values shape each
     trial: a quality score lowers the optimization-metric asymptote and a
     feasibility score lowers the constraint asymptote. Their centers differ
     on purpose, so the configurations with the best raw metric tend to sit
@@ -302,30 +296,13 @@ class SyntheticProblem:
         """Map an internally-minimized metric back to its reporting orientation."""
         return -internal if self.spec.maximize else internal
 
-    def normalized_values(self, config: Configuration) -> dict[str, float]:
-        """Each parameter mapped into [0, 1]: linear, log, or choice-index scale."""
-        out: dict[str, float] = {}
-        for pspec in self.spec.space.params:
-            value = config.values[pspec.name]
-            if pspec.kind is ParamKind.UNIFORM_REAL:
-                u = (value - pspec.low) / (pspec.high - pspec.low)
-            elif pspec.kind in (ParamKind.LOG_UNIFORM_REAL, ParamKind.LOG_UNIFORM_INT):
-                u = (math.log(value) - math.log(pspec.low)) / (
-                    math.log(pspec.high) - math.log(pspec.low)
-                )
-            else:
-                index = pspec.choices.index(value)
-                u = 0.5 if len(pspec.choices) == 1 else index / (len(pspec.choices) - 1)
-            out[pspec.name] = min(max(u, 0.0), 1.0)
-        return out
-
     @staticmethod
     def _score(terms: tuple[LandscapeTerm, ...], u: dict[str, float]) -> float:
         return math.exp(-sum(t.weight * (u[t.param] - t.center) ** 2 for t in terms))
 
     def curve_for(self, config: Configuration) -> TrialCurve:
         s = self.spec
-        u = self.normalized_values(config)
+        u = unit_values(s.space, config)
         quality = self._score(s.quality_terms, u)
         headroom = self._score(s.feasibility_terms, u)
         rate = math.exp(

@@ -86,12 +86,8 @@ def endpoint_optimality_sweep(cases: int = 10_000, seed: int = 0) -> EndpointSwe
         r = float(2.0 ** rng.uniform(-4.0, 10.0))
         t = int(rng.integers(2, 257))
         _, best_cost = brute_force_optimal_interval(r, p, t)
-        cost_first = expected_cost_closed(
-            CostParams(1.0, r, p, t, 1)
-        )
-        cost_final = expected_cost_closed(
-            CostParams(1.0, r, p, t, t)
-        )
+        cost_first = expected_cost_closed(CostParams(1.0, r, p, t, 1))
+        cost_final = expected_cost_closed(CostParams(1.0, r, p, t, t))
         min_endpoint = min(cost_first, cost_final)
         gap = (min_endpoint - best_cost) / min_endpoint
         max_gap = max(max_gap, gap)

@@ -8,9 +8,11 @@ import json
 import multiprocessing
 import operator
 import os
+import signal
 import statistics
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -660,6 +662,51 @@ class TestWorkerPool:
         # The killed job is the last one, so it is the first left without a result.
         [line] = proc.stderr.splitlines()
         assert line.startswith("worker died: arm no_stopping seed 1 got no result")
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(), reason="needs the fork start method"
+    )
+    def test_ctrl_c_exits_130_with_one_line_and_leaves_no_process(self, tmp_path, config):
+        """SIGINT to the run's process group, as a terminal's Ctrl-C sends it, while one
+        worker runs a job and the other waits idle for one."""
+        code = (
+            "import os, sys, time\n"
+            "from ace_hpo import cli\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "run_job = cli._run_job\n"
+            "def slow(job):\n"
+            "    if job[0]['name'] == 'no_stopping' and job[-1] == 1:\n"
+            "        time.sleep(3)  # the other worker ends every other job meanwhile\n"
+            "    return run_job(job)\n"
+            "cli._run_job = slow\n"
+            "sys.exit(cli.main(['run', sys.argv[1], '--output-dir', sys.argv[2]]))\n"
+        )
+        out = tmp_path / "out"
+        # A new session, so the signal reaches only the run; SIG_DFL, because a
+        # process started with SIGINT ignored keeps it ignored.
+        proc = subprocess.Popen(
+            [sys.executable, "-c", code, str(config), str(out)],
+            env=_child_env(), stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+            start_new_session=True, preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL),
+        )
+        try:
+            deadline = time.monotonic() + 60
+            others = 2 * len(cli.SCHEDULER_KINDS) - 1
+            while len(list(out.glob("*_trials.csv"))) < others and time.monotonic() < deadline:
+                assert proc.poll() is None, proc.stderr.read()
+                time.sleep(0.05)
+            os.killpg(proc.pid, signal.SIGINT)
+            _, err = proc.communicate(timeout=60)
+        finally:
+            if proc.poll() is None:
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.wait()
+        assert proc.returncode == 130, err
+        [line] = err.splitlines()  # and no worker's traceback
+        assert line.startswith("interrupted")
+        assert not (out / "summary.csv").exists()
+        with pytest.raises(ProcessLookupError):  # the group has no process left
+            os.killpg(proc.pid, 0)
 
     def test_wrapped_run_experiment_sees_every_job_in_process(self, tmp_path, monkeypatch, config):
         """An in-process wrapper, such as the benchmark's tracer, gets the serial path."""

@@ -3,7 +3,7 @@ import pickle
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ace_hpo.search_space import (
@@ -12,6 +12,7 @@ from ace_hpo.search_space import (
     ParamSpec,
     SearchSpace,
     sample,
+    unit_values,
 )
 
 
@@ -113,6 +114,10 @@ def test_space_validation_errors():
         ParamSpec("x", ParamKind.UNIFORM_REAL, 1.0, 1.0)
     with pytest.raises(ValueError):
         ParamSpec("x", ParamKind.LOG_UNIFORM_REAL, 0.0, 1.0)
+    # Adjacent ints past 2**53 have one log: a unit position would divide by zero.
+    for kind in (ParamKind.LOG_UNIFORM_REAL, ParamKind.LOG_UNIFORM_INT):
+        with pytest.raises(ValueError, match="distinct logs"):
+            ParamSpec("x", kind, 2**53 + 2, 2**53 + 4)
     with pytest.raises(ValueError):
         ParamSpec("x", ParamKind.CHOICE, choices=())
     for repeated in ((32, 64, 32), ([1], [2], [1]), (1, 1.0)):  # lists are unhashable
@@ -146,3 +151,81 @@ def test_range_must_be_finite(kind, low, high):
     # numpy's uniform raises OverflowError for such a range; the spec rejects it first.
     with pytest.raises(ValueError, match="finite"):
         ParamSpec("x", kind, low, high)
+
+
+def _restated_unit_values(space, config):
+    """The unit mapping restated per kind from the specs, with every operand computed
+    where it is used: the oracle that the table-driven :func:`unit_values` must match."""
+    out = {}
+    for pspec in space.params:
+        value = config.values[pspec.name]
+        if pspec.kind is ParamKind.UNIFORM_REAL:
+            u = (value - pspec.low) / (pspec.high - pspec.low)
+        elif pspec.kind in (ParamKind.LOG_UNIFORM_REAL, ParamKind.LOG_UNIFORM_INT):
+            u = (math.log(value) - math.log(pspec.low)) / (
+                math.log(pspec.high) - math.log(pspec.low)
+            )
+        else:
+            index = pspec.choices.index(value)
+            u = 0.5 if len(pspec.choices) == 1 else index / (len(pspec.choices) - 1)
+        out[pspec.name] = min(max(u, 0.0), 1.0)
+    return out
+
+
+# Integer JSON bounds stay ints: near and past 2**53, int - int is exact where
+# float - float rounds, so the mapping must subtract the bounds as given.
+_INTS = st.one_of(st.integers(-(2**60), 2**60), st.integers(2**53 - 8, 2**53 + 8))
+_FLOATS = st.floats(-1e300, 1e300, allow_nan=False)
+
+
+def _numbers(kind):
+    """Bounds or values for a ranged kind: any finite number; a positive one on a log
+    scale; a positive int for an integer parameter."""
+    if kind is ParamKind.UNIFORM_REAL:
+        return st.one_of(_INTS, _FLOATS)
+    ints = _INTS.filter(lambda x: x > 0)
+    if kind is ParamKind.LOG_UNIFORM_INT:
+        return ints
+    return st.one_of(ints, _FLOATS.filter(lambda x: x > 0))
+
+
+@st.composite
+def _params(draw, name):
+    kind = draw(st.sampled_from(ParamKind))
+    if kind is ParamKind.CHOICE:
+        options = draw(st.permutations("abcde"))
+        return ParamSpec(name, kind, choices=tuple(options[: draw(st.integers(1, 5))]))
+    low, high = sorted(draw(st.lists(_numbers(kind), min_size=2, max_size=2, unique=True)))
+    assume(math.isfinite(high - low))
+    # Bounds with one log are rejected: test_space_validation_errors.
+    assume(kind is ParamKind.UNIFORM_REAL or math.log(low) < math.log(high))
+    return ParamSpec(name, kind, low, high)
+
+
+@st.composite
+def _spaces(draw):
+    top = draw(st.integers(3, 2**16))
+    axis = draw(st.sampled_from([
+        ParamSpec("axis", ParamKind.LOG_UNIFORM_INT, 1, top, iteration_axis=True),
+        ParamSpec("axis", ParamKind.CHOICE, choices=(top,), iteration_axis=True),
+        ParamSpec("axis", ParamKind.CHOICE, choices=(1, 2, top), iteration_axis=True),
+    ]))
+    count = draw(st.integers(1, 4))
+    return SearchSpace((axis, *(draw(_params(f"p{i}")) for i in range(count))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(space=_spaces(), data=st.data())
+def test_unit_values_match_the_restated_mapping_bit_for_bit(space, data):
+    """Sampled candidates, and hand-built values anywhere, inside or outside the bounds."""
+    config = sample(space, data.draw(st.integers(0, 2**31)), data.draw(st.integers(0, 200)))
+    values = dict(config.values)
+    for p in space.params:
+        if p.kind is ParamKind.CHOICE:
+            values[p.name] = data.draw(st.sampled_from(p.choices))
+        elif data.draw(st.booleans()):
+            values[p.name] = data.draw(_numbers(p.kind))
+    for candidate in (config, Configuration(values, 1)):
+        got, want = unit_values(space, candidate), _restated_unit_values(space, candidate)
+        assert list(got) == list(want)
+        assert [u.hex() for u in got.values()] == [u.hex() for u in want.values()]

@@ -20,7 +20,14 @@ from ace_hpo.schedulers import (
     NoStoppingScheduler,
     TrialScheduler,
 )
-from ace_hpo.search_space import Configuration, ParamKind, ParamSpec, SearchSpace, sample
+from ace_hpo.search_space import (
+    Configuration,
+    ParamKind,
+    ParamSpec,
+    SearchSpace,
+    sample,
+    unit_values,
+)
 from ace_hpo.simulate import (
     PRESET_NAMES,
     CostMeter,
@@ -520,7 +527,7 @@ class TestProblems:
     def test_normalized_values_in_unit_box(self):
         problem = make_problem("robustness-like", problem_seed=1)
         for config in (sample(problem.spec.space, 3, i) for i in range(20)):
-            for value in problem.normalized_values(config).values():
+            for value in unit_values(problem.spec.space, config).values():
                 assert 0.0 <= value <= 1.0
 
     def test_override_replaces_fields(self):
