@@ -20,6 +20,7 @@ import heapq
 import math
 import sys
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, Iterator
 
 from .history import ConstraintSpec, CostLedger, RunningHistory, TrialSnapshot
@@ -49,7 +50,7 @@ _OPT_TAG = 0
 _CONSTRAINT_TAG = 1
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TrialCurve:
     """Metric trajectories and costs of one trial.
 
@@ -57,6 +58,10 @@ class TrialCurve:
     the constraint trajectory additionally oscillates with the given
     amplitude and period, which makes feasibility non-monotone whenever the
     amplitude exceeds the gap between the limit and the threshold.
+
+    A plain record that checks nothing: the :class:`ProblemSpec` it is built
+    from admits only values every curve can take, and its configuration only
+    a ``max_iterations`` >= 1.
     """
 
     opt_limit: float
@@ -72,24 +77,6 @@ class TrialCurve:
     primary_cost: float
     constraint_cost: float
     max_iterations: int
-
-    def __post_init__(self) -> None:
-        if not self.opt_rate > 0:
-            raise ValueError("opt_rate must be positive")
-        if not self.constraint_rate > 0:
-            raise ValueError("constraint_rate must be positive")
-        if self.opt_noise < 0 or self.constraint_noise < 0:
-            raise ValueError("noise amplitudes must be nonnegative")
-        if self.osc_amplitude < 0:
-            raise ValueError("osc_amplitude must be nonnegative")
-        if not self.osc_period > 0:
-            raise ValueError("osc_period must be positive")
-        if not self.primary_cost > 0:
-            raise ValueError("primary_cost must be positive")
-        if self.constraint_cost < 0:
-            raise ValueError("constraint_cost must be nonnegative")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
 
 
 def opt_curve_value(curve: TrialCurve, t: float) -> float:
@@ -211,21 +198,23 @@ class ProblemSpec:
     def __post_init__(self) -> None:
         if not 0.0 < self.feasible_fraction < 1.0:
             raise ValueError("feasible_fraction must be in (0, 1)")
-        if not 0.0 < self.rate_low < self.rate_high:
-            raise ValueError("rate bounds must satisfy 0 < rate_low < rate_high")
+        if not 0.0 < self.rate_low < self.rate_high < math.inf:
+            raise ValueError("rate bounds must satisfy 0 < rate_low < rate_high < inf")
         names = {p.name for p in self.space.params}
         if self.rate_param not in names:
             raise ValueError(f"rate_param {self.rate_param!r} is not in the space")
         for term in self.quality_terms + self.feasibility_terms:
             if term.param not in names:
                 raise ValueError(f"landscape term references unknown parameter {term.param!r}")
-        # What every TrialCurve built from this spec needs. A score
-        # exp(-sum(w * d**2)) has each d**2 in [0, max(|c|, |1 - c|)**2] for u
-        # in [0, 1], a bound that must be a float (else d**2 overflows), so it
-        # lies in [0, exp(peak)], with peak the sum over negative weights, which
-        # must keep exp(peak) a float. Each curve quantity is affine in its
-        # score, so it is checked at both ends of the score's range: the
-        # amplitude is nonnegative, and every curve value is a float.
+        # The one check of every TrialCurve built from this spec. For u in [0, 1]
+        # the rate is at least exp(log(rate_low)), above 0 for every positive
+        # float, and the constraint rate at least that times the scale. A score
+        # exp(-sum(w * d**2)) has each d**2 in [0, max(|c|, |1 - c|)**2], a bound
+        # that must be a float (else d**2 overflows), so it lies in
+        # [0, exp(peak)], with peak the sum over negative weights, which must
+        # keep exp(peak) a float. Each curve quantity is affine in its score, so
+        # it is checked at both ends of the score's range: the amplitude is
+        # nonnegative, and every curve value is a float.
         if not 0.0 < self.primary_cost < math.inf:
             raise ValueError("primary_cost must be positive and finite")
         if not 0.0 <= self.constraint_cost < math.inf:
@@ -235,8 +224,11 @@ class ProblemSpec:
         angle = 2.0 * math.pi * self.space.max_iterations
         if not (self.osc_period > 0.0 and math.isfinite(angle / self.osc_period)):
             raise ValueError("osc_period must be positive, with sin's angle 2π·T/osc_period finite")
-        if not self.constraint_rate_scale > 0.0:
-            raise ValueError("constraint_rate_scale must be positive")
+        if not math.exp(self.log_rate[0]) * self.constraint_rate_scale > 0.0:
+            raise ValueError(
+                "constraint_rate_scale must be positive, with the slowest constraint rate"
+                " exp(log(rate_low)) * constraint_rate_scale above 0"
+            )
         tops = []
         for field in ("quality_terms", "feasibility_terms"):
             peak = 0.0
@@ -273,6 +265,12 @@ class ProblemSpec:
                     f" the constraint curve a non-finite value at headroom score {headroom:.6g}"
                 )
 
+    @cached_property
+    def log_rate(self) -> tuple[float, float]:
+        """``(log(rate_low), log(rate_high) - log(rate_low))``, taken once per spec."""
+        low = math.log(self.rate_low)
+        return low, math.log(self.rate_high) - low
+
 
 class SyntheticProblem:
     """A problem spec bound to a seed, with a calibrated constraint threshold.
@@ -305,9 +303,8 @@ class SyntheticProblem:
         u = unit_values(s.space, config)
         quality = self._score(s.quality_terms, u)
         headroom = self._score(s.feasibility_terms, u)
-        rate = math.exp(
-            math.log(s.rate_low) + u[s.rate_param] * (math.log(s.rate_high) - math.log(s.rate_low))
-        )
+        low, width = s.log_rate
+        rate = math.exp(low + u[s.rate_param] * width)
         constraint_limit = s.constraint_base - s.constraint_gain * headroom
         return TrialCurve(
             opt_limit=s.opt_base - s.opt_gain * quality,

@@ -122,6 +122,11 @@ class TestConfigValidation:
             (_overrides(osc_period=0), "osc_period"),
             (_overrides(opt_noise=-0.1), "opt_noise"),
             (_overrides(constraint_rate_scale=0), "constraint_rate_scale"),
+            # The slowest constraint rate underflows to 0.
+            (
+                _overrides(rate_low=1e-300, rate_high=1e-299, constraint_rate_scale=1e-300),
+                "constraint_rate_scale",
+            ),
             (_overrides(osc_base=-1), "osc_base"),
             # A negative feasibility weight lifts the headroom score above 1.
             (

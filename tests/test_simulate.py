@@ -88,14 +88,6 @@ class TestCurves:
         flips = sum(1 for a, b in zip(feasible, feasible[1:]) if a != b)
         assert flips >= 2
 
-    def test_curve_validation(self):
-        with pytest.raises(ValueError):
-            flat_curve(opt_rate=0.0)
-        with pytest.raises(ValueError):
-            flat_curve(primary_cost=0.0)
-        with pytest.raises(ValueError):
-            flat_curve(osc_amplitude=-0.1)
-
 
 class TestNoise:
     def test_keyed_reproducibility(self):
@@ -478,6 +470,9 @@ _TERMS = st.lists(
     ),
     max_size=3,
 )
+_RATES = st.one_of(
+    st.floats(5e-324, 1e-300), st.floats(1e-300, 1e308), st.sampled_from((5e-324, 1e-300, 0.08))
+)
 
 
 class TestProblems:
@@ -556,6 +551,13 @@ class TestProblems:
             ("constraint_noise", math.nan),
             ("osc_period", 0.0),
             ("constraint_rate_scale", 0.0),
+            # The slowest constraint rate exp(log(rate_low)) * constraint_rate_scale underflows.
+            (
+                "constraint_rate_scale",
+                {"rate_low": 1e-300, "rate_high": 1e-299, "constraint_rate_scale": 1e-300},
+            ),
+            # log(rate_high) - log(rate_low) is inf, and u = 0 times it is NaN.
+            ("rate_high", math.inf),
             ("osc_base", -1.0),
             ("osc_gain", -1.0),
             # A negative weight lifts the headroom score above 1.
@@ -596,9 +598,12 @@ class TestProblems:
             )
         }),
         osc_period=st.one_of(st.floats(1e-320, 1e-300), st.floats(1e-300, 14.0)),
+        # Rates and scales down to the subnormals, so some products underflow to 0.
+        rates=st.lists(_RATES, min_size=2, max_size=2).map(sorted),
+        constraint_rate_scale=_RATES,
     )
     def test_every_accepted_feasibility_term_builds_every_curve(
-        self, quality, feasibility, bases_and_gains, osc_period
+        self, quality, feasibility, bases_and_gains, osc_period, rates, constraint_rate_scale
     ):
         try:
             spec = problem_spec(
@@ -606,6 +611,9 @@ class TestProblems:
                 quality_terms=tuple(LandscapeTerm(*term) for term in quality),
                 feasibility_terms=tuple(LandscapeTerm(*term) for term in feasibility),
                 osc_period=osc_period,
+                rate_low=rates[0],
+                rate_high=rates[1],
+                constraint_rate_scale=constraint_rate_scale,
                 **bases_and_gains,
             )
         except ValueError:
@@ -624,6 +632,12 @@ class TestProblems:
                     "training_iterations": 256,
                 }
                 curve = problem.curve_for(Configuration(values, 256))
+                # Every bound the curve functions rely on; only the spec checks them.
+                assert curve.opt_rate > 0.0 and curve.constraint_rate > 0.0
+                assert curve.opt_noise >= 0.0 and curve.constraint_noise >= 0.0
+                assert curve.osc_amplitude >= 0.0 and curve.osc_period > 0.0
+                assert curve.primary_cost > 0.0 and curve.constraint_cost >= 0.0
+                assert curve.max_iterations >= 1
                 for t in (1, curve.max_iterations):
                     assert math.isfinite(opt_curve_value(curve, t))
                     assert math.isfinite(constraint_curve_value(curve, t))
