@@ -96,7 +96,8 @@ class CheckpointRecord:
     when the history recorded it (None until then); ``action`` is the
     scheduler's action, with the trial's rank-from-worst and group size
     behind it (``action`` stays None for post-hoc scan evaluations; the rank
-    fields stay None when the rule ranked nothing).
+    fields stay None when the rule ranked nothing). A plain record that checks
+    nothing: :meth:`ConstraintSpec.classify`, its only maker, makes it consistent.
     """
 
     trial_id: int
@@ -110,20 +111,6 @@ class CheckpointRecord:
     rank: int | None = None
     group_size: int | None = None
 
-    def __post_init__(self) -> None:
-        if self.iteration < 1:
-            raise ValueError("iteration must be >= 1")
-        if self.group is Group.NO_CONSTRAINT:
-            if self.constraint_value is not None or self.violation_amount is not None:
-                raise ValueError("no_constraint record cannot carry constraint data")
-        elif self.constraint_value is None:
-            raise ValueError(f"{self.group.value} record requires a constraint value")
-        if self.group is Group.VALID and self.violation_amount is not None:
-            raise ValueError("valid record cannot carry a violation amount")
-        if self.group is Group.INVALID:
-            if self.violation_amount is None or not self.violation_amount > 0:
-                raise ValueError("invalid record requires a positive violation amount")
-
     @property
     def evaluate_constraint(self) -> bool:
         return self.constraint_value is not None
@@ -131,7 +118,8 @@ class CheckpointRecord:
 
 @dataclass
 class CostLedger:
-    """Accumulated charges, split by kind, with sample counts for averaging."""
+    """Accumulated charges, split by kind, with sample counts for averaging. A charge is
+    not checked: it is a curve's cost, which its ``ProblemSpec`` admits only finite, >= 0."""
 
     total_primary_cost: float = 0.0
     primary_cost_count: int = 0
@@ -139,14 +127,10 @@ class CostLedger:
     constraint_cost_count: int = 0
 
     def add_primary(self, cost: float) -> None:
-        if not 0.0 <= cost < math.inf:
-            raise ValueError("cost must be nonnegative and finite")
         self.total_primary_cost += cost
         self.primary_cost_count += 1
 
     def add_constraint(self, cost: float) -> None:
-        if not 0.0 <= cost < math.inf:
-            raise ValueError("cost must be nonnegative and finite")
         self.total_constraint_cost += cost
         self.constraint_cost_count += 1
 
@@ -219,21 +203,11 @@ class RunningHistory:
         """Stamp the record's ``sim_time``, append it, update the incumbent and
         the trial's row; return the record.
 
-        Recording a record twice raises: one object would stand for two
-        checkpoints. A record of a trial never started gets a fresh row.
+        The record must come fresh from ``self.constraint.classify``; it is not checked.
+        A record of a trial never started gets a fresh row.
         Only a strictly lower metric moves a best, so ties keep the earlier
         one and NaN never wins.
         """
-        if record.sim_time is not None:
-            raise ValueError("checkpoint record already recorded")
-        if record.group is Group.VALID and not self.constraint.is_satisfied(record.constraint_value):
-            raise ValueError("valid record with constraint value above the threshold")
-        if record.group is Group.INVALID:
-            if self.constraint.is_satisfied(record.constraint_value):
-                raise ValueError("invalid record with constraint value within the threshold")
-            expected = self.constraint.violation(record.constraint_value)
-            if not math.isclose(record.violation_amount, expected, rel_tol=1e-9, abs_tol=1e-12):
-                raise ValueError("violation amount inconsistent with value and threshold")
         record.sim_time = self.ledger.total_cost
         self.records.append(record)
         if record.group is Group.VALID and record.opt_metric < self.best_feasible_score:

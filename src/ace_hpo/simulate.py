@@ -136,17 +136,15 @@ class CostMeter:
 
 
 def eval_opt_metric(curve: TrialCurve, t: int, normal: float, meter: CostMeter) -> float:
-    """Observed optimization metric at t given its standard normal draw; charges its cost."""
-    if not 1 <= t <= curve.max_iterations:
-        raise ValueError("iteration out of range")
+    """Observed optimization metric at t given its standard normal draw; charges its cost.
+    ``t`` is not checked: the run loop and the scan pass only 1 <= t <= max_iterations."""
     meter.charge_primary(curve.primary_cost)
     return opt_curve_value(curve, t) + curve.opt_noise * normal
 
 
 def eval_constraint_metric(curve: TrialCurve, t: int, normal: float, meter: CostMeter) -> float:
-    """Observed constraint metric at t given its standard normal draw; charges its cost."""
-    if not 1 <= t <= curve.max_iterations:
-        raise ValueError("iteration out of range")
+    """Observed constraint metric at t given its standard normal draw; charges its cost.
+    ``t`` is not checked, as in :func:`eval_opt_metric`."""
     meter.charge_constraint(curve.constraint_cost)
     return constraint_curve_value(curve, t) + curve.constraint_noise * normal
 
@@ -214,7 +212,9 @@ class ProblemSpec:
         # [0, exp(peak)], with peak the sum over negative weights, which must
         # keep exp(peak) a float. Each curve quantity is affine in its score, so
         # it is checked at both ends of the score's range: the amplitude is
-        # nonnegative, and every curve value is a float.
+        # nonnegative, and every curve value is a float. Every ledger charge is a
+        # curve's cost, checked only here: the run loop ends when the clock reaches
+        # the budget, which a NaN clock never does, nor one that training never moves.
         if not 0.0 < self.primary_cost < math.inf:
             raise ValueError("primary_cost must be positive and finite")
         if not 0.0 <= self.constraint_cost < math.inf:

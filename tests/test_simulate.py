@@ -115,22 +115,6 @@ class TestMeteredEvaluation:
         assert meter.ledger.constraint_cost_count == 1
         assert meter.clock == pytest.approx(1.5)
 
-    def test_iteration_out_of_range(self):
-        meter = CostMeter(CostLedger())
-        with pytest.raises(ValueError):
-            eval_opt_metric(flat_curve(), 0, 0.0, meter)
-        with pytest.raises(ValueError):
-            eval_constraint_metric(flat_curve(), 17, 0.0, meter)
-
-    @pytest.mark.parametrize("cost", [math.nan, math.inf, -math.inf, -1.0])
-    def test_ledger_rejects_negative_and_nonfinite_costs(self, cost):
-        # A NaN clock is never >= the budget, so the run loop would never end.
-        ledger = CostLedger()
-        for add in (ledger.add_primary, ledger.add_constraint):
-            with pytest.raises(ValueError, match="nonnegative and finite"):
-                add(cost)
-        assert ledger == CostLedger()
-
     def test_noisy_value_matches_components(self):
         meter = CostMeter(CostLedger())
         curve = flat_curve(opt_noise=0.01, constraint_noise=0.02)
@@ -301,8 +285,6 @@ class TestRunExperiment:
         assert record is history.records[-1]
         assert (record.sim_time, record.action) == (1.0, Action.CONTINUE)
         assert not hasattr(record, "__dict__")
-        with pytest.raises(ValueError, match="already recorded"):
-            history.record_checkpoint(record)
         assert len(history.records) == 1
 
         problem = make_problem("fairness-like", problem_seed=2)
@@ -547,6 +529,8 @@ class TestProblems:
             ("constraint_cost", -1.0),
             ("primary_cost", 0.0),
             ("primary_cost", math.inf),
+            ("primary_cost", math.nan),
+            ("primary_cost", -1.0),
             ("opt_noise", -0.1),
             ("constraint_noise", math.nan),
             ("osc_period", 0.0),
@@ -583,7 +567,7 @@ class TestProblems:
         with pytest.raises(ValueError, match=field):
             make_problem("fairness-like", 0, **overrides)
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=400, deadline=None)
     @given(
         quality=_TERMS,
         feasibility=_TERMS,
@@ -601,9 +585,18 @@ class TestProblems:
         # Rates and scales down to the subnormals, so some products underflow to 0.
         rates=st.lists(_RATES, min_size=2, max_size=2).map(sorted),
         constraint_rate_scale=_RATES,
+        # Every ledger charge is one of these costs, which only the spec checks.
+        costs=st.fixed_dictionaries({
+            name: st.one_of(
+                st.sampled_from((0.0, -0.0, -1.0, math.nan, math.inf, -math.inf)),
+                st.floats(),
+                st.floats(1e-3, 30.0),
+            )
+            for name in ("primary_cost", "constraint_cost")
+        }),
     )
     def test_every_accepted_feasibility_term_builds_every_curve(
-        self, quality, feasibility, bases_and_gains, osc_period, rates, constraint_rate_scale
+        self, quality, feasibility, bases_and_gains, osc_period, rates, constraint_rate_scale, costs
     ):
         try:
             spec = problem_spec(
@@ -615,6 +608,7 @@ class TestProblems:
                 rate_high=rates[1],
                 constraint_rate_scale=constraint_rate_scale,
                 **bases_and_gains,
+                **costs,
             )
         except ValueError:
             return
@@ -636,6 +630,7 @@ class TestProblems:
                 assert curve.opt_rate > 0.0 and curve.constraint_rate > 0.0
                 assert curve.opt_noise >= 0.0 and curve.constraint_noise >= 0.0
                 assert curve.osc_amplitude >= 0.0 and curve.osc_period > 0.0
+                assert math.isfinite(curve.primary_cost) and math.isfinite(curve.constraint_cost)
                 assert curve.primary_cost > 0.0 and curve.constraint_cost >= 0.0
                 assert curve.max_iterations >= 1
                 for t in (1, curve.max_iterations):
