@@ -297,6 +297,42 @@ class TestRunExperiment:
         assert all(r.action is None and r.evaluate_constraint for r in scan)
         assert all(r.sim_time > 1500.0 for r in scan)
 
+    @pytest.mark.parametrize("method", ["ace", "asha", "no-stopping"])
+    def test_run_evaluates_only_iterations_in_range_and_records_each_once(
+        self, method, monkeypatch
+    ):
+        # eval_* and record_checkpoint check neither fact: the run loop and the
+        # post-hoc scan are what keep 1 <= t <= max_iterations and one record per call.
+        import ace_hpo.simulate as simulate
+
+        seen = Counter()
+
+        def in_range(name, evaluate):
+            def checked(curve, t, normal, meter):
+                assert 1 <= t <= curve.max_iterations
+                seen[name] += 1
+                return evaluate(curve, t, normal, meter)
+
+            return checked
+
+        monkeypatch.setattr(simulate, "eval_opt_metric", in_range("opt", eval_opt_metric))
+        monkeypatch.setattr(
+            simulate, "eval_constraint_metric", in_range("constraint", eval_constraint_metric)
+        )
+        problem = make_problem("fairness-like", problem_seed=0)
+        factory = {
+            "ace": lambda h: AceScheduler(AceConfig(), h),
+            "asha": lambda h: AshaScheduler(
+                AshaConfig(max_time_units=problem.spec.space.max_iterations), h
+            ),
+            "no-stopping": NoStoppingScheduler,
+        }[method]
+        result = run_experiment(problem, factory, budget=1500.0, max_concurrent=3, seed=0)
+        records = result.history.records
+        assert len({id(r) for r in records}) == len(records)
+        assert seen["opt"] == result.primary_iterations > 0
+        assert seen["constraint"] == result.constraint_evaluations > 0
+
     def test_reported_score_is_unnegated_for_maximize(self):
         problem = make_problem("fairness-like", problem_seed=0)
         result = run_experiment(
@@ -527,10 +563,12 @@ class TestProblems:
             ("constraint_cost", math.nan),
             ("constraint_cost", math.inf),
             ("constraint_cost", -1.0),
+            ("constraint_cost", -math.inf),
             ("primary_cost", 0.0),
             ("primary_cost", math.inf),
             ("primary_cost", math.nan),
             ("primary_cost", -1.0),
+            ("primary_cost", -math.inf),
             ("opt_noise", -0.1),
             ("constraint_noise", math.nan),
             ("osc_period", 0.0),
