@@ -118,8 +118,8 @@ class CheckpointRecord:
 
 @dataclass
 class CostLedger:
-    """Accumulated charges, split by kind, with sample counts for averaging. A charge is
-    not checked: it is a curve's cost, which its ``ProblemSpec`` admits only finite, >= 0."""
+    """Accumulated charges, split by kind, with sample counts for averaging. Unchecked: each
+    charge is a curve's cost, which its ``ProblemSpec`` admits only finite, >= 0 (primary > 0)."""
 
     total_primary_cost: float = 0.0
     primary_cost_count: int = 0
@@ -147,8 +147,6 @@ class CostLedger:
         if self.primary_cost_count == 0 or self.constraint_cost_count == 0:
             return None
         mean_primary = self.total_primary_cost / self.primary_cost_count
-        if mean_primary == 0.0:
-            return None
         mean_constraint = self.total_constraint_cost / self.constraint_cost_count
         return mean_constraint / mean_primary
 
@@ -193,10 +191,8 @@ class RunningHistory:
         return list(self._trials.values())
 
     def start_trial(self, trial_id: int, max_iterations: int, interval: int | None) -> None:
-        """Create the trial's row with the facts fixed for its lifetime. A trial
-        starts once: starting one that already has a row raises ValueError."""
-        if trial_id in self._trials:
-            raise ValueError(f"trial {trial_id} already has a row")
+        """Create the trial's row with the facts fixed for its lifetime. Not checked:
+        the run loop starts each trial once, before its first record."""
         self._trials[trial_id] = TrialSnapshot(trial_id, max_iterations, interval)
 
     def record_checkpoint(self, record: CheckpointRecord) -> CheckpointRecord:

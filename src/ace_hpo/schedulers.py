@@ -132,16 +132,13 @@ class _StratumIndex:
                 self.place(row)
 
     def place(self, row: TrialSnapshot) -> None:
-        """Move the row's held key to its current group and key; a miss is a bug."""
+        """Move the row's held key to its current group and key; only this method writes keys."""
         held, placed = self._held.get(row.trial_id), (row.group, _row_key(row))
         if held == placed:
             return
         if held is not None:
             keys = self._keys[held[0]]
-            i = bisect_left(keys, held[1])
-            if i == len(keys) or keys[i] != held[1]:
-                raise RuntimeError(f"stratum keys out of sync with trial {row.trial_id}")
-            del keys[i]
+            del keys[bisect_left(keys, held[1])]
         insort(self._keys[row.group], placed[1])
         self._held[row.trial_id] = placed
 

@@ -125,14 +125,11 @@ class SearchSpace:
 
 @dataclass(frozen=True)
 class Configuration:
-    """One sampled candidate: parameter values plus its own iteration budget."""
+    """One sampled candidate: parameter values plus its own iteration budget, unchecked:
+    :func:`sample` draws the budget from the iteration axis, whose rules keep it >= 1."""
 
     values: dict[str, Any]
     max_iterations: int
-
-    def __post_init__(self) -> None:
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
 
 
 _UNIFORM, _LOG_UNIFORM, _LOG_INT, _CHOICE = range(4)
@@ -173,9 +170,8 @@ _BLOCK = 64
 
 def sample(space: SearchSpace, seed: int, trial_index: int = 0) -> Configuration:
     """Draw the trial_index-th candidate for a seed, independent of any history: parameter
-    j draws from ``PCG64(SeedSequence(seed, spawn_key=(trial_index, j)))``."""
-    if trial_index < 0:
-        raise ValueError("trial_index must be nonnegative")
+    j draws from ``PCG64(SeedSequence(seed, spawn_key=(trial_index, j)))``. An index
+    outside [0, 2**32) raises the draw's own ValueError."""
     table = space.draw_table
     offset, n = trial_index % _BLOCK, len(table)
     block = grid_draws(seed, trial_index - offset, _BLOCK, 0, n)

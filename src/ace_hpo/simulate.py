@@ -59,9 +59,9 @@ class TrialCurve:
     amplitude and period, which makes feasibility non-monotone whenever the
     amplitude exceeds the gap between the limit and the threshold.
 
-    A plain record that checks nothing: the :class:`ProblemSpec` it is built
-    from admits only values every curve can take, and its configuration only
-    a ``max_iterations`` >= 1.
+    A plain record that checks nothing. Its one maker is :meth:`ProblemSpec.curve`,
+    whose spec checks the curves it makes at both ends of each score's range, and its
+    ``max_iterations`` is a sampled configuration's, which :func:`sample` keeps >= 1.
     """
 
     opt_limit: float
@@ -198,23 +198,24 @@ class ProblemSpec:
             raise ValueError("feasible_fraction must be in (0, 1)")
         if not 0.0 < self.rate_low < self.rate_high < math.inf:
             raise ValueError("rate bounds must satisfy 0 < rate_low < rate_high < inf")
+        if not sum(self.log_rate) <= math.log(sys.float_info.max):
+            raise ValueError("rate_high's fastest rate exp(log(rate_low) + log range) overflows")
         names = {p.name for p in self.space.params}
         if self.rate_param not in names:
             raise ValueError(f"rate_param {self.rate_param!r} is not in the space")
         for term in self.quality_terms + self.feasibility_terms:
             if term.param not in names:
                 raise ValueError(f"landscape term references unknown parameter {term.param!r}")
-        # The one check of every TrialCurve built from this spec. For u in [0, 1]
-        # the rate is at least exp(log(rate_low)), above 0 for every positive
-        # float, and the constraint rate at least that times the scale. A score
-        # exp(-sum(w * d**2)) has each d**2 in [0, max(|c|, |1 - c|)**2], a bound
-        # that must be a float (else d**2 overflows), so it lies in
-        # [0, exp(peak)], with peak the sum over negative weights, which must
-        # keep exp(peak) a float. Each curve quantity is affine in its score, so
-        # it is checked at both ends of the score's range: the amplitude is
-        # nonnegative, and every curve value is a float. Every ledger charge is a
-        # curve's cost, checked only here: the run loop ends when the clock reaches
-        # the budget, which a NaN clock never does, nor one that training never moves.
+        # The one check of every TrialCurve built from this spec, made on curves from its
+        # own maker. A score exp(-sum(w * d**2)) has each d**2 in [0, max(|c|, |1 - c|)**2],
+        # a bound that must be a float (else d**2 overflows), so it lies in [0, exp(peak)],
+        # with peak the sum over negative weights, which must keep exp(peak) a float. Each
+        # curve quantity is affine in its score and each rate least at u = 0, so the curves
+        # at both ends of each score's range, at the slowest rate, bound them all; their
+        # values are held to max float / 2, as rounding between the ends and in
+        # start - limit can cross it. Every ledger charge is a curve's cost, checked only
+        # here: the run loop ends when the clock reaches the budget, which a NaN clock
+        # never does, nor one that training never moves.
         if not 0.0 < self.primary_cost < math.inf:
             raise ValueError("primary_cost must be positive and finite")
         if not 0.0 <= self.constraint_cost < math.inf:
@@ -224,11 +225,6 @@ class ProblemSpec:
         angle = 2.0 * math.pi * self.space.max_iterations
         if not (self.osc_period > 0.0 and math.isfinite(angle / self.osc_period)):
             raise ValueError("osc_period must be positive, with sin's angle 2π·T/osc_period finite")
-        if not math.exp(self.log_rate[0]) * self.constraint_rate_scale > 0.0:
-            raise ValueError(
-                "constraint_rate_scale must be positive, with the slowest constraint rate"
-                " exp(log(rate_low)) * constraint_rate_scale above 0"
-            )
         tops = []
         for field in ("quality_terms", "feasibility_terms"):
             peak = 0.0
@@ -242,28 +238,49 @@ class ProblemSpec:
             if not peak < math.log(sys.float_info.max):
                 raise ValueError(f"{field}: the score's peak exp({peak:.6g}) exceeds every float")
             tops.append(math.exp(peak))
-        at_peak = self.osc_base + self.osc_gain * (1.0 - tops[1])
-        if not (self.osc_base + self.osc_gain >= 0.0 and at_peak >= 0.0):
-            raise ValueError(
-                "osc_base + osc_gain * (1 - headroom) must be nonnegative for every headroom"
-                " score the feasibility_terms allow"
-            )
-        for quality in (0.0, tops[0]):
-            limit = self.opt_base - self.opt_gain * quality
-            if not math.isfinite(self.opt_start - self.opt_start_gain * quality - limit):
+        slowest = math.exp(self.log_rate[0])
+        for quality, headroom in ((0.0, 0.0), tops):
+            curve = self.curve(quality, headroom, slowest, self.space.max_iterations)
+            if not curve.constraint_rate > 0.0:
+                raise ValueError("constraint_rate_scale must keep every constraint rate above 0")
+            if not curve.osc_amplitude >= 0.0:
+                raise ValueError(
+                    "osc_base and osc_gain give the oscillation a negative amplitude at"
+                    f" headroom score {headroom:.6g}, which the feasibility_terms allow"
+                )
+            if not all(math.isfinite(2.0 * v) for v in (curve.opt_limit, curve.opt_start)):
                 raise ValueError(
                     "opt_base, opt_gain, opt_start and opt_start_gain give the objective curve"
-                    f" a non-finite value at quality score {quality:.6g}"
+                    f" a value beyond max float / 2 at quality score {quality:.6g}"
                 )
-        for headroom in (0.0, tops[1]):
-            limit = self.constraint_base - self.constraint_gain * headroom
-            start = limit + self.constraint_lift
-            amplitude = self.osc_base + self.osc_gain * (1.0 - headroom)
-            if not all(map(math.isfinite, (limit, start, max(abs(limit), abs(start)) + amplitude))):
+            limit, start = curve.constraint_limit, curve.constraint_start
+            reach = max(abs(limit), abs(start)) + curve.osc_amplitude
+            if not all(math.isfinite(2.0 * v) for v in (limit, start, reach)):
                 raise ValueError(
                     "constraint_base, constraint_gain, constraint_lift, osc_base and osc_gain give"
-                    f" the constraint curve a non-finite value at headroom score {headroom:.6g}"
+                    f" the constraint curve a value beyond max float / 2 at headroom {headroom:.6g}"
                 )
+
+    def curve(
+        self, quality: float, headroom: float, rate: float, max_iterations: int
+    ) -> TrialCurve:
+        """The one maker of a :class:`TrialCurve`, from a trial's two scores, rate and budget."""
+        constraint_limit = self.constraint_base - self.constraint_gain * headroom
+        return TrialCurve(
+            opt_limit=self.opt_base - self.opt_gain * quality,
+            opt_start=self.opt_start - self.opt_start_gain * quality,
+            opt_rate=rate,
+            opt_noise=self.opt_noise,
+            constraint_limit=constraint_limit,
+            constraint_start=constraint_limit + self.constraint_lift,
+            constraint_rate=rate * self.constraint_rate_scale,
+            osc_amplitude=self.osc_base + self.osc_gain * (1.0 - headroom),
+            osc_period=self.osc_period,
+            constraint_noise=self.constraint_noise,
+            primary_cost=self.primary_cost,
+            constraint_cost=self.constraint_cost,
+            max_iterations=max_iterations,
+        )
 
     @cached_property
     def log_rate(self) -> tuple[float, float]:
@@ -301,26 +318,10 @@ class SyntheticProblem:
     def curve_for(self, config: Configuration) -> TrialCurve:
         s = self.spec
         u = unit_values(s.space, config)
-        quality = self._score(s.quality_terms, u)
-        headroom = self._score(s.feasibility_terms, u)
         low, width = s.log_rate
         rate = math.exp(low + u[s.rate_param] * width)
-        constraint_limit = s.constraint_base - s.constraint_gain * headroom
-        return TrialCurve(
-            opt_limit=s.opt_base - s.opt_gain * quality,
-            opt_start=s.opt_start - s.opt_start_gain * quality,
-            opt_rate=rate,
-            opt_noise=s.opt_noise,
-            constraint_limit=constraint_limit,
-            constraint_start=constraint_limit + s.constraint_lift,
-            constraint_rate=rate * s.constraint_rate_scale,
-            osc_amplitude=s.osc_base + s.osc_gain * (1.0 - headroom),
-            osc_period=s.osc_period,
-            constraint_noise=s.constraint_noise,
-            primary_cost=s.primary_cost,
-            constraint_cost=s.constraint_cost,
-            max_iterations=config.max_iterations,
-        )
+        quality, headroom = self._score(s.quality_terms, u), self._score(s.feasibility_terms, u)
+        return s.curve(quality, headroom, rate, config.max_iterations)
 
     def _calibrated_threshold(self) -> float:
         import numpy as np  # here, not at the top: a config load does not import numpy

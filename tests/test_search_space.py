@@ -134,8 +134,6 @@ def test_space_validation_errors():
                 ParamSpec("a", ParamKind.UNIFORM_REAL, 0.0, 1.0),
             )
         )
-    with pytest.raises(ValueError):
-        Configuration({"n": 0}, 0)
 
 
 @pytest.mark.parametrize(
@@ -219,6 +217,8 @@ def _spaces(draw):
 def test_unit_values_match_the_restated_mapping_bit_for_bit(space, data):
     """Sampled candidates, and hand-built values anywhere, inside or outside the bounds."""
     config = sample(space, data.draw(st.integers(0, 2**31)), data.draw(st.integers(0, 200)))
+    # The iteration axis's rules are the one check of a sampled budget.
+    assert 1 <= config.max_iterations <= space.max_iterations
     values = dict(config.values)
     for p in space.params:
         if p.kind is ParamKind.CHOICE:

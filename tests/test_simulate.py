@@ -1,11 +1,12 @@
 import math
 import random
 import statistics
+import sys
 import tracemalloc
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from ace_hpo.cost_model import CostParams, expected_cost_exact
@@ -301,11 +302,18 @@ class TestRunExperiment:
     def test_run_evaluates_only_iterations_in_range_and_records_each_once(
         self, method, monkeypatch
     ):
-        # eval_* and record_checkpoint check neither fact: the run loop and the
-        # post-hoc scan are what keep 1 <= t <= max_iterations and one record per call.
+        # eval_*, record_checkpoint and start_trial check none of these facts: the run
+        # loop and the post-hoc scan are what keep 1 <= t <= max_iterations, one record
+        # per call and one start per trial, made before the trial has a row.
         import ace_hpo.simulate as simulate
 
-        seen = Counter()
+        seen, started = Counter(), []
+        start_trial = RunningHistory.start_trial
+
+        def start_once(history, trial_id, max_iterations, interval):
+            assert history.trial_snapshot(trial_id) is None
+            started.append(trial_id)
+            return start_trial(history, trial_id, max_iterations, interval)
 
         def in_range(name, evaluate):
             def checked(curve, t, normal, meter):
@@ -319,6 +327,7 @@ class TestRunExperiment:
         monkeypatch.setattr(
             simulate, "eval_constraint_metric", in_range("constraint", eval_constraint_metric)
         )
+        monkeypatch.setattr(RunningHistory, "start_trial", start_once)
         problem = make_problem("fairness-like", problem_seed=0)
         factory = {
             "ace": lambda h: AceScheduler(AceConfig(), h),
@@ -332,6 +341,7 @@ class TestRunExperiment:
         assert len({id(r) for r in records}) == len(records)
         assert seen["opt"] == result.primary_iterations > 0
         assert seen["constraint"] == result.constraint_evaluations > 0
+        assert started == list(range(result.total_trials))
 
     def test_reported_score_is_unnegated_for_maximize(self):
         problem = make_problem("fairness-like", problem_seed=0)
@@ -480,17 +490,78 @@ class TestModelConformance:
 
 # A feasibility term whose headroom score exp(5000 * 0.65**2) overflows.
 _OVERFLOWING = (LandscapeTerm("learning_rate", 0.35, -5000.0),)
-_TERMS = st.lists(
-    st.tuples(
-        st.sampled_from(["learning_rate", "regularization"]),
-        st.one_of(st.floats(-0.5, 1.5), st.floats(-1e300, 1e300)),
-        st.floats(-1e4, 1e4),
-    ),
-    max_size=3,
-)
-_RATES = st.one_of(
-    st.floats(5e-324, 1e-300), st.floats(1e-300, 1e308), st.sampled_from((5e-324, 1e-300, 0.08))
-)
+_MAX = sys.float_info.max
+_OPT_FIELDS = ("opt_base", "opt_gain", "opt_start", "opt_start_gain")
+_CONSTRAINT_FIELDS = ("constraint_base", "constraint_gain", "constraint_lift")
+_PARAMS = st.sampled_from(["learning_rate", "regularization"])
+_TERMS = st.lists(st.tuples(_PARAMS, st.floats(-0.5, 1.5), st.floats(0.0, 1e4)), max_size=3)
+
+
+def _near(bound):
+    """Magnitudes within a factor of two of a bound, on both sides of it."""
+    return st.floats(bound / 2, min(2 * bound, _MAX))
+
+
+def _signed(magnitudes):
+    return st.tuples(magnitudes, st.sampled_from((-1.0, 1.0))).map(lambda m: m[0] * m[1])
+
+
+@st.composite
+def _accepted_or_near_a_bound(draw):
+    """fairness-like overrides from ranges the spec accepts, except that one bound the
+    spec enforces (or none) takes values within a factor of two of it, on either side."""
+    spec = {
+        "quality_terms": draw(_TERMS),
+        "feasibility_terms": draw(_TERMS),
+        **{name: draw(st.floats(-1.0, 1.0)) for name in _OPT_FIELDS + _CONSTRAINT_FIELDS},
+        # osc_base + osc_gain * (1 - headroom) >= 0 for every headroom in [0, 1].
+        "osc_base": draw(st.floats(0.2, 0.4)),
+        "osc_gain": draw(st.floats(-0.2, 0.2)),
+        "osc_period": draw(st.floats(0.5, 14.0)),
+        "rate_low": draw(st.floats(1e-3, 1.0)),
+        "rate_high": draw(st.floats(2.0, 10.0)),
+        "constraint_rate_scale": draw(st.floats(0.1, 10.0)),
+        "primary_cost": draw(st.floats(1e-3, 30.0)),
+        "constraint_cost": draw(st.floats(0.0, 30.0)),
+    }
+    bound = draw(st.sampled_from(
+        (None, "center", "peak", "amplitude", "opt", "constraint", "period", "rate", "cost")
+    ))
+    scores = draw(st.sampled_from(("quality_terms", "feasibility_terms")))
+    center = draw(st.floats(0.0, 1.0))
+    reach = max(center, 1.0 - center)
+    if bound == "center":  # (u - c)**2 overflows past |c| = sqrt(max float)
+        term = (draw(_PARAMS), draw(_signed(_near(math.sqrt(_MAX)))), draw(st.floats(0.0, 1e4)))
+        spec[scores] = (*spec[scores], term)
+    elif bound == "peak":  # exp(peak) overflows past peak = log(max float)
+        term = (draw(_PARAMS), center, -draw(_near(math.log(_MAX))) / reach**2)
+        spec[scores] = (*spec[scores], term)
+    elif bound == "amplitude":  # osc_base + osc_gain * (1 - top) is 0 at top - 1 = base / gain
+        spec["osc_gain"] = draw(st.floats(0.01, 0.2))
+        top = 1.0 + draw(_near(spec["osc_base"] / spec["osc_gain"]))
+        term = (draw(_PARAMS), center, -math.log(top) / reach**2)
+        spec["feasibility_terms"] = (*spec["feasibility_terms"], term)
+    elif bound == "opt":  # a curve's limit or start passes max float / 2
+        for name in _OPT_FIELDS:
+            spec[name] = draw(_signed(_near(_MAX / 2)))
+    elif bound == "constraint":  # each field near max float / 2 or not: about half pass it
+        for name in _CONSTRAINT_FIELDS:
+            spec[name] = draw(st.one_of(st.floats(-1.0, 1.0), _signed(_near(_MAX / 2))))
+        spec["osc_base"] = draw(st.one_of(st.floats(0.2, 0.4), _near(_MAX / 2)))
+    elif bound == "period":  # sin's angle 2π·T/osc_period overflows; T is 256
+        spec["osc_period"] = draw(_near(2.0 * math.pi * 256 / _MAX))
+    elif bound == "rate":  # the slowest constraint rate underflows, the fastest rate overflows
+        spec["rate_low"] = draw(st.floats(1e-300, 1e-10))
+        spec["constraint_rate_scale"] = draw(_near(5e-324)) / spec["rate_low"]  # 0, 5e-324, 1e-323
+        spec["rate_high"] = draw(_near(_MAX / 2))
+    elif bound == "cost":  # the largest and the smallest positive costs
+        for name in ("primary_cost", "constraint_cost"):
+            spec[name] = draw(st.one_of(_near(_MAX / 2), st.floats(5e-324, 1e-300)))
+    spec["quality_terms"], spec["feasibility_terms"] = (
+        tuple(LandscapeTerm(*term) for term in spec[name])
+        for name in ("quality_terms", "feasibility_terms")
+    )
+    return spec
 
 
 class TestProblems:
@@ -569,6 +640,7 @@ class TestProblems:
             ("primary_cost", math.nan),
             ("primary_cost", -1.0),
             ("primary_cost", -math.inf),
+            ("primary_cost", -0.0),
             ("opt_noise", -0.1),
             ("constraint_noise", math.nan),
             ("osc_period", 0.0),
@@ -580,6 +652,13 @@ class TestProblems:
             ),
             # log(rate_high) - log(rate_low) is inf, and u = 0 times it is NaN.
             ("rate_high", math.inf),
+            ("rate_low", {"rate_low": 0.1, "rate_high": 0.1}),
+            # log(rate_low) + the log range rounds past log(max float): the last choice's
+            # rate, at u = 1, overflows exp().
+            (
+                "rate_high",
+                {"rate_param": "hidden_width", "rate_low": 1.0891837371143e-155, "rate_high": _MAX},
+            ),
             ("osc_base", -1.0),
             ("osc_gain", -1.0),
             # A negative weight lifts the headroom score above 1.
@@ -597,6 +676,15 @@ class TestProblems:
             ("opt_base", {"opt_base": 1e308, "opt_gain": -1e308}),
             ("osc_base", {"osc_base": 1e308, "osc_gain": 1e308}),
             ("constraint_base", {"constraint_base": 1e308, "constraint_gain": -1e308}),
+            ("opt_start", {"opt_start": 1e308, "opt_base": -1e308}),
+            ("constraint_lift", {"constraint_base": 1e308, "constraint_lift": 1e308}),
+            # Finite at both ends, but start - limit can round past the largest float.
+            (
+                "constraint_lift",
+                {"constraint_gain": -1.7976931348623155e308, "constraint_lift": -_MAX},
+            ),
+            # sin's angle 2*pi*T/osc_period at T = 256 overflows just below 9e-306.
+            ("osc_period", 4.5e-306),
         ],
     )
     def test_spec_rejects_values_no_curve_takes(self, field, value):
@@ -606,55 +694,20 @@ class TestProblems:
             make_problem("fairness-like", 0, **overrides)
 
     @settings(max_examples=400, deadline=None)
-    @given(
-        quality=_TERMS,
-        feasibility=_TERMS,
-        bases_and_gains=st.fixed_dictionaries({
-            name: st.one_of(
-                st.floats(0.0 if name == "osc_base" else -0.2, 0.2),
-                st.floats(-1e308, 1e308),
-                st.sampled_from((-1e308, 1e308)),
-            )
-            for name in (
-                "opt_base", "opt_gain", "constraint_base", "constraint_gain", "osc_base", "osc_gain"
-            )
-        }),
-        osc_period=st.one_of(st.floats(1e-320, 1e-300), st.floats(1e-300, 14.0)),
-        # Rates and scales down to the subnormals, so some products underflow to 0.
-        rates=st.lists(_RATES, min_size=2, max_size=2).map(sorted),
-        constraint_rate_scale=_RATES,
-        # Every ledger charge is one of these costs, which only the spec checks.
-        costs=st.fixed_dictionaries({
-            name: st.one_of(
-                st.sampled_from((0.0, -0.0, -1.0, math.nan, math.inf, -math.inf)),
-                st.floats(),
-                st.floats(1e-3, 30.0),
-            )
-            for name in ("primary_cost", "constraint_cost")
-        }),
-    )
-    def test_every_accepted_feasibility_term_builds_every_curve(
-        self, quality, feasibility, bases_and_gains, osc_period, rates, constraint_rate_scale, costs
-    ):
+    @given(overrides=_accepted_or_near_a_bound())
+    def test_every_accepted_feasibility_term_builds_every_curve(self, overrides):
         try:
-            spec = problem_spec(
-                "fairness-like",
-                quality_terms=tuple(LandscapeTerm(*term) for term in quality),
-                feasibility_terms=tuple(LandscapeTerm(*term) for term in feasibility),
-                osc_period=osc_period,
-                rate_low=rates[0],
-                rate_high=rates[1],
-                constraint_rate_scale=constraint_rate_scale,
-                **bases_and_gains,
-                **costs,
-            )
+            spec = problem_spec("fairness-like", **overrides)
         except ValueError:
+            event("rejected")  # --hypothesis-show-statistics reports the accepted share
             return
+        event("accepted")
         problem = object.__new__(SyntheticProblem)  # curve_for reads only the spec
         problem.spec = spec
         # Each parameter at either bound or at a term's center, in normalized space; each
         # curve is read at t = 1 and at the axis's top value, where sin's angle is largest.
-        points = [0.0, 1.0, *(min(max(c, 0.0), 1.0) for _, c, _ in quality + feasibility)]
+        terms = spec.quality_terms + spec.feasibility_terms
+        points = [0.0, 1.0, *(min(max(t.center, 0.0), 1.0) for t in terms)]
         for lr in points:
             for reg in points:
                 values = {

@@ -129,7 +129,7 @@ class TestSeedStates:
     @pytest.mark.parametrize("draw", OUT_OF_RANGE.values(), ids=OUT_OF_RANGE.keys())
     def test_key_words_outside_32_bits_raise(self, draw):
         for word in (-1, 2**32):
-            with pytest.raises(ValueError, match=r"\[0, 2\*\*32\)|nonnegative"):
+            with pytest.raises(ValueError, match=r"\[0, 2\*\*32\)"):
                 draw(word)
 
     def test_widest_key_words_match_numpy(self):
