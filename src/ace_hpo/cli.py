@@ -173,8 +173,8 @@ def _seeds(seeds: Any, path: str) -> list[int]:
     return seeds
 
 
-def _problem(config: dict) -> tuple[str, dict, SearchSpace]:
-    """A config's preset, its typed ``make_problem`` overrides and its search space.
+def _problem(config: dict) -> tuple[str, dict, ProblemSpec]:
+    """A config's preset, its typed ``make_problem`` overrides and its spec.
 
     The overrides are checked by building the spec, which is not calibrated.
     """
@@ -192,7 +192,7 @@ def _problem(config: dict) -> tuple[str, dict, SearchSpace]:
         spec = problem_spec(preset, **overrides)
     except ValueError as exc:
         raise _error("problem", str(exc)) from exc
-    return preset, overrides, spec.space
+    return preset, overrides, spec
 
 
 def _scheduler_factory(
@@ -236,7 +236,12 @@ def load_config(path: str | Path) -> dict:
         output_dir = _value(str, config["output_dir"], "output_dir")
         if not output_dir or "\0" in output_dir:
             raise _error("output_dir", f"must be non-empty with no NUL character: {output_dir!r}")
-    space = _problem(config)[2]
+    spec = _problem(config)[2]
+    budget, c1, c2 = config["budget"], spec.primary_cost, spec.constraint_cost
+    # Work is issued only below the budget, at least c1 per iteration: under budget / c1 + 1
+    # iterations, ending below budget + c1 + c2. The post-hoc scan adds c2 per started trial.
+    if not 2.0 * (budget + c1 + c2 + (budget / c1 + 1.0) * c2) <= sys.float_info.max:
+        raise _error("budget", f"{budget!r} at costs {c1!r} and {c2!r} can overflow the clock")
     arms = config["arms"]
     if not isinstance(arms, list) or not arms:
         raise _error("arms", f"expected a non-empty array, got {arms!r}")
@@ -252,7 +257,7 @@ def load_config(path: str | Path) -> dict:
         names.add(name)
         if kind not in SCHEDULER_KINDS:
             raise _error(f"{at}/scheduler", f"{kind!r} is not one of {SCHEDULER_KINDS}")
-        _scheduler_factory(kind, arm.get("params", {}), space, f"{at}/params")
+        _scheduler_factory(kind, arm.get("params", {}), spec.space, f"{at}/params")
     return config
 
 
@@ -430,7 +435,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             "aggregate": _aggregate(per_seed),
         }
         with open(out_dir / f"{name}_summary.json", "w", encoding="utf-8") as handle:
-            json.dump(summary, handle, indent=2, sort_keys=True)
+            json.dump(summary, handle, indent=2, sort_keys=True, allow_nan=False)
             handle.write("\n")
         agg, found = summary["aggregate"], sum(record["feasible_found"] for record in per_seed)
         stats = [_plus_minus(agg[f"{c}_mean"], agg[f"{c}_std"]) for c, _ in _TEXT_COLUMNS[1:-1]]

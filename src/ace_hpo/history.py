@@ -60,31 +60,20 @@ class ConstraintSpec:
         if not math.isfinite(self.threshold):
             raise ValueError("constraint threshold must be finite")
 
-    def is_satisfied(self, value: float) -> bool:
-        return math.isfinite(value) and value <= self.threshold
-
-    def violation(self, value: float) -> float:
-        return value - self.threshold if math.isfinite(value) else math.inf
-
     def classify(
-        self,
-        trial_id: int,
-        iteration: int,
-        opt_metric: float,
-        constraint_value: float | None,
+        self, trial_id: int, iteration: int, opt_metric: float, constraint_value: float | None
     ) -> "CheckpointRecord":
-        """Build a consistent record from an observation (None = not evaluated)."""
+        """Build a consistent record from an observation (None = not evaluated). A finite
+        value violates by ``value - threshold``, which is <= 0 iff ``value <= threshold``:
+        the difference of two distinct floats never rounds to 0."""
         if constraint_value is None:
             return CheckpointRecord(trial_id, iteration, opt_metric, None, Group.NO_CONSTRAINT)
-        if self.is_satisfied(constraint_value):
+        finite = math.isfinite(constraint_value)
+        violation = constraint_value - self.threshold if finite else math.inf
+        if violation <= 0.0:
             return CheckpointRecord(trial_id, iteration, opt_metric, constraint_value, Group.VALID)
         return CheckpointRecord(
-            trial_id,
-            iteration,
-            opt_metric,
-            constraint_value,
-            Group.INVALID,
-            self.violation(constraint_value),
+            trial_id, iteration, opt_metric, constraint_value, Group.INVALID, violation
         )
 
 

@@ -77,6 +77,9 @@ class ParamSpec:
                     raise ValueError(f"{self.name}: choices must be distinct; {choice!r} repeats")
         if self.iteration_axis and not self._is_integer_kind():
             raise ValueError(f"{self.name}: the iteration axis must be integer-valued")
+        unused = ("choices",) if self.kind in _RANGED else ("low", "high")
+        if any(getattr(self, key) not in (None, ()) for key in unused):
+            raise ValueError(f"{self.name}: kind {self.kind.value} takes no {' or '.join(unused)}")
 
     def _is_integer_kind(self) -> bool:
         if self.kind is ParamKind.LOG_UNIFORM_INT:

@@ -48,6 +48,12 @@ __all__ = [
 
 _OPT_TAG = 0
 _CONSTRAINT_TAG = 1
+# Above every |z| of numpy's ziggurat (Marsaglia and Tsang, J. Stat. Softw. 2000): its layers
+# give |z| < r = 3.65415; its tail r - log1p(-u) / r, with u <= 1 - 2**-53, at most 13.7076.
+_Z = 13.71
+_OPT_FIELDS = "opt_base, opt_gain, opt_start, opt_start_gain and opt_noise"
+_CONSTRAINT_FIELDS = ("constraint_base, constraint_gain, constraint_lift, osc_base, osc_gain"
+                      " and constraint_noise")
 
 
 @dataclass(slots=True)
@@ -211,11 +217,11 @@ class ProblemSpec:
         # a bound that must be a float (else d**2 overflows), so it lies in [0, exp(peak)],
         # with peak the sum over negative weights, which must keep exp(peak) a float. Each
         # curve quantity is affine in its score and each rate least at u = 0, so the curves
-        # at both ends of each score's range, at the slowest rate, bound them all; their
-        # values are held to max float / 2, as rounding between the ends and in
-        # start - limit can cross it. Every ledger charge is a curve's cost, checked only
-        # here: the run loop ends when the clock reaches the budget, which a NaN clock
-        # never does, nor one that training never moves.
+        # at both ends of each score's range, at the slowest rate, bound them all. One rule
+        # holds both metrics' observed values, curve + noise * z, to max float / 2, as rounding
+        # between the ends and in start - limit can cross it. Every ledger charge is a curve's
+        # cost, checked only here: the run loop ends when the clock reaches the budget, which a
+        # NaN clock never does, nor one that training never moves.
         if not 0.0 < self.primary_cost < math.inf:
             raise ValueError("primary_cost must be positive and finite")
         if not 0.0 <= self.constraint_cost < math.inf:
@@ -248,18 +254,13 @@ class ProblemSpec:
                     "osc_base and osc_gain give the oscillation a negative amplitude at"
                     f" headroom score {headroom:.6g}, which the feasibility_terms allow"
                 )
-            if not all(math.isfinite(2.0 * v) for v in (curve.opt_limit, curve.opt_start)):
-                raise ValueError(
-                    "opt_base, opt_gain, opt_start and opt_start_gain give the objective curve"
-                    f" a value beyond max float / 2 at quality score {quality:.6g}"
-                )
-            limit, start = curve.constraint_limit, curve.constraint_start
-            reach = max(abs(limit), abs(start)) + curve.osc_amplitude
-            if not all(math.isfinite(2.0 * v) for v in (limit, start, reach)):
-                raise ValueError(
-                    "constraint_base, constraint_gain, constraint_lift, osc_base and osc_gain give"
-                    f" the constraint curve a value beyond max float / 2 at headroom {headroom:.6g}"
-                )
+            for fields, ends, swing, noise in (
+                (_OPT_FIELDS, (curve.opt_limit, curve.opt_start), 0.0, curve.opt_noise),
+                (_CONSTRAINT_FIELDS, (curve.constraint_limit, curve.constraint_start),
+                 curve.osc_amplitude, curve.constraint_noise),
+            ):  # all(), not max(): max(1.0, nan) is 1.0
+                if not all(math.isfinite(2.0 * (abs(end) + swing + _Z * noise)) for end in ends):
+                    raise ValueError(f"{fields} give an observed value beyond max float / 2")
 
     def curve(
         self, quality: float, headroom: float, rate: float, max_iterations: int

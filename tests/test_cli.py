@@ -148,6 +148,28 @@ class TestConfigValidation:
             (_overrides(osc_base=1e308, osc_gain=1e308), "osc_base"),
             # An axis this long would calibrate for hours before any output.
             ({"space": {"params": [dict(_AXIS, high=1e9)]}}, "at space: steps: the iteration axis"),
+            # A noise scale whose observed value curve + noise * z can overflow.
+            (_overrides(opt_noise=1e308), "opt_noise"),
+            (_overrides(constraint_noise=1e308), "constraint_noise"),
+            # Costs and a budget each finite whose cost clock overflows: these exited 0 and
+            # wrote Infinity.
+            (
+                {
+                    **_overrides(primary_cost=6e307, constraint_cost=8e307),
+                    "budget": 1.7e308,
+                    "arms": [
+                        _arm("ace"), _arm("asha"),
+                        dict(_arm("ace", interval_mode="fixed_1"), name="ace_fixed_1"),
+                    ],
+                },
+                "at budget",
+            ),
+            # Keys that a kind ignores.
+            ({"space": {"params": [dict(_AXIS, choices=[2, 4])]}}, "takes no choices"),
+            (
+                {"space": {"params": [dict(_AXIS, kind="choice", choices=[2, 4])]}},
+                "takes no low or high",
+            ),
         ],
     )
     def test_rejected_before_any_output(self, tmp_path, capsys, changes, key):

@@ -125,6 +125,13 @@ def test_space_validation_errors():
             ParamSpec("x", ParamKind.CHOICE, choices=repeated)
     with pytest.raises(ValueError):
         ParamSpec("x", ParamKind.UNIFORM_REAL, 0.0, 1.0, iteration_axis=True)
+    # Keys that a kind ignores are rejected rather than read by nothing.
+    for kind in (ParamKind.UNIFORM_REAL, ParamKind.LOG_UNIFORM_REAL, ParamKind.LOG_UNIFORM_INT):
+        with pytest.raises(ValueError, match="takes no choices"):
+            ParamSpec("x", kind, 1.0, 2.0, choices=(1, 2))
+    for bounds in ({"low": 1.0}, {"high": 2.0}, {"low": 0.0, "high": 2.0}):
+        with pytest.raises(ValueError, match="takes no low or high"):
+            ParamSpec("x", ParamKind.CHOICE, choices=(1, 2), **bounds)
     with pytest.raises(ValueError):
         SearchSpace((ParamSpec("lr", ParamKind.LOG_UNIFORM_REAL, 1e-4, 1.0),))
     with pytest.raises(ValueError):

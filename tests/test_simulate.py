@@ -494,6 +494,9 @@ _MAX = sys.float_info.max
 _OPT_FIELDS = ("opt_base", "opt_gain", "opt_start", "opt_start_gain")
 _CONSTRAINT_FIELDS = ("constraint_base", "constraint_gain", "constraint_lift")
 _PARAMS = st.sampled_from(["learning_rate", "regularization"])
+# The largest |z| numpy's ziggurat returns: its tail r - log1p(-u) / r at u = 1 - 2**-53.
+_R = 3.6541528853610088
+_LARGEST_NORMAL = _R + 53 * math.log(2) / _R
 _TERMS = st.lists(st.tuples(_PARAMS, st.floats(-0.5, 1.5), st.floats(0.0, 1e4)), max_size=3)
 
 
@@ -523,10 +526,12 @@ def _accepted_or_near_a_bound(draw):
         "constraint_rate_scale": draw(st.floats(0.1, 10.0)),
         "primary_cost": draw(st.floats(1e-3, 30.0)),
         "constraint_cost": draw(st.floats(0.0, 30.0)),
+        "opt_noise": draw(st.floats(0.0, 1.0)),
+        "constraint_noise": draw(st.floats(0.0, 1.0)),
     }
-    bound = draw(st.sampled_from(
-        (None, "center", "peak", "amplitude", "opt", "constraint", "period", "rate", "cost")
-    ))
+    bound = draw(st.sampled_from((
+        None, "center", "peak", "amplitude", "opt", "constraint", "period", "rate", "cost", "noise"
+    )))
     scores = draw(st.sampled_from(("quality_terms", "feasibility_terms")))
     center = draw(st.floats(0.0, 1.0))
     reach = max(center, 1.0 - center)
@@ -557,6 +562,13 @@ def _accepted_or_near_a_bound(draw):
     elif bound == "cost":  # the largest and the smallest positive costs
         for name in ("primary_cost", "constraint_cost"):
             spec[name] = draw(st.one_of(_near(_MAX / 2), st.floats(5e-324, 1e-300)))
+    elif bound == "noise":  # curve + noise * z passes max float / 2 at noise = max / (2 * |z|),
+        # and a rule that left out |z| would accept noise up to max float / 2
+        largest = _MAX / (2 * _LARGEST_NORMAL)
+        for name in ("opt_noise", "constraint_noise"):
+            spec[name] = draw(st.one_of(
+                st.floats(0.0, 1.0), _near(largest), st.floats(largest, _MAX / 2)
+            ))
     spec["quality_terms"], spec["feasibility_terms"] = (
         tuple(LandscapeTerm(*term) for term in spec[name])
         for name in ("quality_terms", "feasibility_terms")
@@ -727,6 +739,12 @@ class TestProblems:
                 for t in (1, curve.max_iterations):
                     assert math.isfinite(opt_curve_value(curve, t))
                     assert math.isfinite(constraint_curve_value(curve, t))
+                    # The observed value, curve + noise * z, at the largest |z| a draw can take.
+                    for z in (-_LARGEST_NORMAL, _LARGEST_NORMAL):
+                        assert math.isfinite(opt_curve_value(curve, t) + curve.opt_noise * z)
+                        assert math.isfinite(
+                            constraint_curve_value(curve, t) + curve.constraint_noise * z
+                        )
 
     def test_negative_quality_weight_runs(self):
         # A quality weight shapes the objective only, unlike a feasibility weight.
