@@ -11,11 +11,11 @@ Subcommands:
 ``validate-theorem``   drives the randomized brute-force sweeps and prints
                        pass/fail counts.
 
-A CSV cell is written by the rule for its exact type (floats with 17
-significant digits, true/false, empty for None, enums by value); no cell is
-quoted, lines end in CRLF, and reruns of the same config produce
-byte-identical files. The output directory is the ``--output-dir`` flag,
-else the config's ``output_dir`` key, else ``./results``.
+A CSV cell is written by the rule for its exact type (floats with 17 significant digits,
+true/false, empty for None, enums by value), in the run tables through one %-template per
+record shape; no cell is quoted, lines end in CRLF, and reruns of the same config produce
+byte-identical files. The output directory is the ``--output-dir`` flag, else the
+config's ``output_dir`` key, else ``./results``.
 
 ``run`` spreads its (arm, seed) runs over the CPUs in its affinity mask, and
 any worker count writes the same bytes. numpy is imported at the first draw,
@@ -40,7 +40,7 @@ from pathlib import Path
 from typing import Any, Callable, Iterable, Sequence
 
 from .cost_model import CostParams, expected_cost_closed
-from .history import Group, RunningHistory
+from .history import CheckpointRecord, Group, RunningHistory
 from .schedulers import (
     AceConfig,
     AceScheduler,
@@ -275,12 +275,27 @@ _CELL: dict[type, Callable[[Any], str]] = {
 }
 
 
-def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence[Any]]) -> None:
+# The %-conversion of each type whose cells vary within a record shape, by the rule above.
+_CONVERSION = {int: "%d", float: "%.17g", str: "%s"}
+
+
+def _line(cells: Iterable[Any]) -> str:
+    return ",".join([_CELL[type(cell)](cell) for cell in cells]) + "\r\n"
+
+
+def _template(cells: Sequence[Any]) -> str:
+    """The %-template of lines shaped like ``cells``: an int, float or str cell's conversion,
+    or the text of a cell the shape fixes, then ``%.0s``, which takes it and writes nothing."""
+    return _line([_CONVERSION.get(type(c)) or _CELL[type(c)](c) + "%.0s" for c in cells])
+
+
+def _write_csv(
+    path: Path, header: Sequence[str], rows: Iterable, line: Callable[[Any], str] = _line
+) -> None:
+    """The header line, then ``line(row)`` for each row."""
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(",".join(header) + "\r\n")
-        handle.writelines(
-            ",".join([_CELL[type(cell)](cell) for cell in row]) + "\r\n" for row in rows
-        )
+        handle.write(_line(header))
+        handle.writelines(map(line, rows))
 
 
 TRACE_HEADER = (
@@ -291,6 +306,7 @@ DECISION_HEADER = (
     "sim_time", "trial_id", "iteration", "action",
     "evaluate_constraint", "group", "rank", "group_size",
 )
+_RUN_HEADERS = (TRACE_HEADER, DECISION_HEADER)
 TRIAL_HEADER = (
     "trial_id", "max_iterations", "interval", "best_opt", "best_iteration", "status",
 )
@@ -311,16 +327,30 @@ _TEXT_COLUMNS = (
 
 
 def _write_run_files(out_dir: Path, arm: str, seed: int, result: RunResult) -> None:
-    """Each run table's rows read by its header's names: trace rows from every
-    checkpoint record, decision rows from the records with an action, trial rows."""
-    records = result.history.records
-    for table, header, rows in (
-        ("trace", TRACE_HEADER, records),
-        ("decisions", DECISION_HEADER, [r for r in records if r.action is not None]),
-        ("trials", TRIAL_HEADER, result.history.trials),
+    """The run tables. One pass over the records writes each one's trace line as the file
+    takes it and keeps its decision line, if it has an action, both from the templates of
+    its shape (group, ranked or not, action), which fixes every other cell's type or text."""
+    decisions, templates = [], {}
+
+    def trace_line(r: CheckpointRecord) -> str:
+        time, shape = "%.17g" % r.sim_time, (r.group, r.rank is None, r.action)
+        if shape not in templates:  # built from the shape's first record
+            cells = {n: getattr(r, n) for n in TRACE_HEADER + DECISION_HEADER} | {"sim_time": time}
+            templates[shape] = [_template([cells[n] for n in h]) for h in _RUN_HEADERS]
+        trace, decision = templates[shape]
+        # Cells in header order; None stands for a cell that the shape fixes.
+        trial, t = r.trial_id, r.iteration
+        if r.action is not None:
+            decisions.append(decision % (time, trial, t, None, None, None, r.rank, r.group_size))
+        return trace % (trial, t, r.opt_metric, r.constraint_value, None, r.violation_amount, time)
+
+    trials = list(map(operator.attrgetter(*TRIAL_HEADER), result.history.trials))
+    for table, header, rows, line in (
+        ("trace", TRACE_HEADER, result.history.records, trace_line),
+        ("decisions", DECISION_HEADER, decisions, str),  # lines already
+        ("trials", TRIAL_HEADER, trials, _line),
     ):
-        cells = list(map(operator.attrgetter(*header), rows))
-        _write_csv(out_dir / f"{arm}_seed{seed}_{table}.csv", header, cells)
+        _write_csv(out_dir / f"{arm}_seed{seed}_{table}.csv", header, rows, line)
 
 
 def _aggregate(per_seed: list[dict]) -> dict:

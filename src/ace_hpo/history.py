@@ -114,19 +114,21 @@ class CostLedger:
     primary_cost_count: int = 0
     total_constraint_cost: float = 0.0
     constraint_cost_count: int = 0
+    # Every charge so far, summed at each charge; the simulated clock reads exactly this.
+    total_cost: float = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.total_cost = self.total_primary_cost + self.total_constraint_cost
 
     def add_primary(self, cost: float) -> None:
         self.total_primary_cost += cost
         self.primary_cost_count += 1
+        self.total_cost = self.total_primary_cost + self.total_constraint_cost
 
     def add_constraint(self, cost: float) -> None:
         self.total_constraint_cost += cost
         self.constraint_cost_count += 1
-
-    @property
-    def total_cost(self) -> float:
-        """Every charge so far; the simulated clock reads exactly this sum."""
-        return self.total_primary_cost + self.total_constraint_cost
+        self.total_cost = self.total_primary_cost + self.total_constraint_cost
 
     def cost_ratio(self) -> float | None:
         """Average constraint cost over average training-iteration cost.
@@ -179,10 +181,13 @@ class RunningHistory:
         """Every trial row, in the order the trials were first seen."""
         return list(self._trials.values())
 
-    def start_trial(self, trial_id: int, max_iterations: int, interval: int | None) -> None:
-        """Create the trial's row with the facts fixed for its lifetime. Not checked:
-        the run loop starts each trial once, before its first record."""
-        self._trials[trial_id] = TrialSnapshot(trial_id, max_iterations, interval)
+    def start_trial(
+        self, trial_id: int, max_iterations: int, interval: int | None
+    ) -> TrialSnapshot:
+        """Create and return the trial's row with the facts fixed for its lifetime. Not
+        checked: the run loop starts each trial once, before its first record."""
+        self._trials[trial_id] = row = TrialSnapshot(trial_id, max_iterations, interval)
+        return row
 
     def record_checkpoint(self, record: CheckpointRecord) -> CheckpointRecord:
         """Stamp the record's ``sim_time``, append it, update the incumbent and

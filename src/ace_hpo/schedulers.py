@@ -24,9 +24,10 @@ evaluations and charges their costs. A scheduler is three hooks:
 
 * ``interval_for(max_iterations)``: a starting trial's constraint-evaluation
   interval (None: no schedule), fixed on its history row by ``on_trial_start``;
-* ``wants_constraint(trial_id, iteration, max_iterations, opt_metric)``:
-  whether ``step`` evaluates the constraint at this checkpoint;
-* ``decide(record)``: the action, rank-from-worst and group size of the
+* ``wants_constraint(row, iteration, max_iterations, opt_metric)``, with ``row``
+  the trial's history row (None if never started): whether ``step`` evaluates
+  the constraint at this checkpoint;
+* ``decide(record, row)``: the action, rank-from-worst and group size of the
   checkpoint's record, already in the history.
 
 Each stopping rule owns its ranking state (ACE its stratum index, ASHA its
@@ -60,6 +61,9 @@ __all__ = [
     "ScanResult",
     "post_hoc_feasibility_scan",
 ]
+
+
+_Decision = tuple[Action, int | None, int | None]
 
 
 class StoppingMode(str, Enum):
@@ -148,7 +152,8 @@ class _StratumIndex:
         group, key = self._held[trial_id]
         size = len(self._keys[group])
         rank = size - bisect_left(self._keys[group], key)
-        return Action.STOP if rank <= math.floor(fraction * size) else Action.CONTINUE, rank, size
+        stop = rank <= fraction * size  # an integer is <= x iff it is <= floor(x)
+        return Action.STOP if stop else Action.CONTINUE, rank, size
 
 
 def stratum_should_stop(
@@ -170,18 +175,18 @@ class TrialScheduler:
     def __init__(self, history: RunningHistory):
         self.history = history
 
-    def on_trial_start(self, trial_id: int, max_iterations: int) -> None:
-        self.history.start_trial(trial_id, max_iterations, self.interval_for(max_iterations))
+    def on_trial_start(self, trial_id: int, max_iterations: int) -> TrialSnapshot:
+        return self.history.start_trial(trial_id, max_iterations, self.interval_for(max_iterations))
 
     def interval_for(self, max_iterations: int) -> int | None:
         return None
 
     def wants_constraint(
-        self, trial_id: int, iteration: int, max_iterations: int, opt_metric: float
+        self, row: TrialSnapshot | None, iteration: int, max_iterations: int, opt_metric: float
     ) -> bool:
         return False
 
-    def decide(self, record: CheckpointRecord) -> tuple[Action, int | None, int | None]:
+    def decide(self, record: CheckpointRecord, row: TrialSnapshot | None) -> _Decision:
         return Action.CONTINUE, None, None
 
     def step(
@@ -191,20 +196,22 @@ class TrialScheduler:
         max_iterations: int,
         opt_metric: float,
         evaluate: Callable[[], float],
+        row: TrialSnapshot | None = None,
     ) -> CheckpointRecord:
         """One checkpoint: maybe evaluate the constraint, record, then rule.
 
         ``evaluate`` performs (and charges) the constraint evaluation at the
-        current iteration; it is called at most once. A trial reaching its
-        final iteration completes regardless of the stopping rule. The
-        action and rank are written onto the checkpoint's record in the
-        history, which is returned.
+        current iteration; it is called at most once; ``row``, the trial's row,
+        is looked up if not given. A trial reaching its final iteration completes
+        regardless of the stopping rule. The action and rank are written onto
+        the checkpoint's record in the history, which is returned.
         """
-        want = self.wants_constraint(trial_id, iteration, max_iterations, opt_metric)
+        row = row or self.history.trial_snapshot(trial_id)
+        want = self.wants_constraint(row, iteration, max_iterations, opt_metric)
         value = evaluate() if want else None
         record = self.history.constraint.classify(trial_id, iteration, opt_metric, value)
         self.history.record_checkpoint(record)
-        action, record.rank, record.group_size = self.decide(record)
+        action, record.rank, record.group_size = self.decide(record, row)
         record.action = Action.CONTINUE if iteration >= max_iterations else action
         return record
 
@@ -236,21 +243,21 @@ class AceScheduler(TrialScheduler):
         return choose_interval(ratio, self.config.truncation_percentage, max_iterations)
 
     def wants_constraint(
-        self, trial_id: int, iteration: int, max_iterations: int, opt_metric: float
+        self, row: TrialSnapshot | None, iteration: int, max_iterations: int, opt_metric: float
     ) -> bool:
         return ace_gate(
             opt_metric,
             self.history,
-            at_interval_boundary=iteration % self.history.trial_snapshot(trial_id).interval == 0,
+            at_interval_boundary=iteration % row.interval == 0,
             gate_enabled=self.config.low_overhead_gate,
             at_final_iteration=iteration >= max_iterations,
         )
 
-    def decide(self, record: CheckpointRecord) -> tuple[Action, int | None, int | None]:
+    def decide(self, record: CheckpointRecord, row: TrialSnapshot | None) -> _Decision:
         if self.config.stopping_mode is StoppingMode.HARD:
             action = Action.STOP if record.group is Group.INVALID else Action.CONTINUE
             return action, None, None
-        self._index.place(self.history.trial_snapshot(record.trial_id))
+        self._index.place(row)
         return self._index.decide(record.trial_id, self.config.truncation_percentage)
 
 
@@ -295,12 +302,12 @@ class AshaScheduler(TrialScheduler):
         self._rung_entries: dict[int, list[tuple[float, int]]] = {r: [] for r in config.rungs}
         self._rung_promotions = dict.fromkeys(config.rungs, 0)
 
-    def decide(self, record: CheckpointRecord) -> tuple[Action, int | None, int | None]:
+    def decide(self, record: CheckpointRecord, row: TrialSnapshot | None) -> _Decision:
         entries = self._rung_entries.get(record.iteration)
         if entries is None:
             return Action.CONTINUE, None, None
-        opt = math.inf if math.isnan(record.opt_metric) else record.opt_metric
-        entry = (opt, record.trial_id)
+        opt = record.opt_metric
+        entry = (math.inf if opt != opt else opt, record.trial_id)
         position = bisect_left(entries, entry)
         entries.insert(position, entry)
         rank = position + 1
@@ -338,12 +345,12 @@ class ConstraintCallback(TrialScheduler):
         self.inner = inner
 
     def wants_constraint(
-        self, trial_id: int, iteration: int, max_iterations: int, opt_metric: float
+        self, row: TrialSnapshot | None, iteration: int, max_iterations: int, opt_metric: float
     ) -> bool:
         return iteration >= max_iterations
 
-    def decide(self, record: CheckpointRecord) -> tuple[Action, int | None, int | None]:
-        return self.inner.decide(record)
+    def decide(self, record: CheckpointRecord, row: TrialSnapshot | None) -> _Decision:
+        return self.inner.decide(record, row)
 
 
 @dataclass(frozen=True)

@@ -153,33 +153,39 @@ def _table_entry(spec: ParamSpec) -> tuple:
     return spec.name, _LOG_INT, low, high, (int(spec.low), int(spec.high)), low, high - low
 
 
-def _draw_param(entry: tuple, draws: Draws, i: int) -> Any:
-    """numpy's draw for a table entry from stream i: ``uniform`` in (log) bounds,
-    or ``integers`` over the choices."""
-    _, kind, low, high, values, _, _ = entry
-    if kind == _CHOICE:
-        return values[draws.integers(i, len(values))]
-    value = draws.uniform(i, low, high)
-    if kind == _UNIFORM:
-        return value
-    if kind == _LOG_UNIFORM:
-        return math.exp(value)
-    # Uniform in log space, rounded down, clamped into the bounds.
-    return min(max(math.floor(math.exp(value)), values[0]), values[1])
+def _draw_values(table: tuple[tuple, ...], draws: Draws, first: int) -> dict[str, Any]:
+    """numpy's draw for each table entry, entry j from stream ``first + j``: ``uniform``
+    in (log) bounds, or ``integers`` over the choices."""
+    values: dict[str, Any] = {}
+    for i, (name, kind, low, high, options, _, _) in enumerate(table, first):
+        if kind == _CHOICE:
+            values[name] = options[draws.integers(i, len(options))]
+            continue
+        value = draws.uniform(i, low, high)
+        if kind == _LOG_UNIFORM:
+            value = math.exp(value)
+        elif kind == _LOG_INT:  # uniform in log space, rounded down, clamped into the bounds
+            value = min(max(math.floor(math.exp(value)), options[0]), options[1])
+        values[name] = value
+    return values
 
 
-_BLOCK = 64
+# sample's last block of _BLOCK trial indices, keyed by (seed, first index, parameter count).
+_BLOCK = 512
+_last_block: tuple = (None, None)
 
 
 def sample(space: SearchSpace, seed: int, trial_index: int = 0) -> Configuration:
     """Draw the trial_index-th candidate for a seed, independent of any history: parameter
     j draws from ``PCG64(SeedSequence(seed, spawn_key=(trial_index, j)))``. An index
     outside [0, 2**32) raises the draw's own ValueError."""
+    global _last_block
     table = space.draw_table
     offset, n = trial_index % _BLOCK, len(table)
-    block = grid_draws(seed, trial_index - offset, _BLOCK, 0, n)
-    first = offset * n
-    values = {entry[0]: _draw_param(entry, block, first + j) for j, entry in enumerate(table)}
+    key = seed, trial_index - offset, n
+    if _last_block[0] != key:
+        _last_block = key, grid_draws(seed, key[1], _BLOCK, 0, n)
+    values = _draw_values(table, _last_block[1], offset * n)
     return Configuration(values, int(values[space.iteration_axis.name]))
 
 

@@ -106,13 +106,17 @@ def _min_constraint_value(curve: TrialCurve) -> float:
 
 # A noise tile holds `span` iterations from `first` (a power of two below
 # _TILE_KEYS, else a multiple of it) for each of _TILE_KEYS // span trial ids.
-_TILE_KEYS = 512
+_TILE_KEYS = 2048
+# The span of the tile holding each iteration below _TILE_KEYS (1 for iteration 0).
+_SPANS = tuple(1 << max(i.bit_length() - 1, 0) for i in range(_TILE_KEYS))
+# The post-hoc scan derives its draws this many candidates at a time.
+_SCAN_CHUNK = 512
 
 
 def metric_noise(problem_seed: int, trial_id: int, iteration: int, tag: int) -> float:
     """The standard normal an ``eval_*`` call takes, keyed by position alone: the first
     draw of ``PCG64(SeedSequence(problem_seed, spawn_key=(trial_id, iteration, tag)))``."""
-    span = min(1 << max(iteration.bit_length() - 1, 0), _TILE_KEYS)
+    span = _SPANS[iteration] if 0 <= iteration < _TILE_KEYS else _TILE_KEYS
     width, first = _TILE_KEYS // span, iteration & -span
     offset = trial_id % width
     tile = grid_draws(problem_seed, trial_id - offset, width, first, span, (tag,))
@@ -314,7 +318,10 @@ class SyntheticProblem:
 
     @staticmethod
     def _score(terms: tuple[LandscapeTerm, ...], u: dict[str, float]) -> float:
-        return math.exp(-sum(t.weight * (u[t.param] - t.center) ** 2 for t in terms))
+        total = 0.0  # summed left to right: Python 3.12+ compensates sum() of floats
+        for t in terms:
+            total += t.weight * (u[t.param] - t.center) ** 2
+        return math.exp(-total)
 
     def curve_for(self, config: Configuration) -> TrialCurve:
         s = self.spec
@@ -507,27 +514,26 @@ class RunResult:
         return self.history.ledger.constraint_cost_count
 
 
-@dataclass
+@dataclass(slots=True)
 class _Slot:
     """One concurrent worker: its virtual time and the trial it is running.
 
-    ``trial_id`` is None while the slot is idle; ``curve`` and ``iteration``
-    (iterations done so far) describe the running trial and are meaningful
-    only while ``trial_id`` is set.
+    ``row``, the trial's history row, is None while the slot is idle; ``curve`` and
+    ``iteration`` (iterations done so far) describe the running trial while ``row`` is set.
     """
 
     virtual_time: float = 0.0
-    trial_id: int | None = None
+    row: TrialSnapshot | None = None
     curve: TrialCurve | None = None
     iteration: int = 0
 
 
 def _scan_normals(problem_seed: int, candidates: list[tuple[int, int, float]]) -> Iterator[float]:
-    """Each candidate's constraint-noise draw, _TILE_KEYS at a time as the scan reaches
+    """Each candidate's constraint-noise draw, _SCAN_CHUNK at a time as the scan reaches
     them (best-first order hits noise tiles at random). One draw per evaluation is exact:
     :func:`post_hoc_feasibility_scan` evaluates each candidate once, in candidate order."""
-    for start in range(0, len(candidates), _TILE_KEYS):
-        chunk = candidates[start : start + _TILE_KEYS]
+    for start in range(0, len(candidates), _SCAN_CHUNK):
+        chunk = candidates[start : start + _SCAN_CHUNK]
         draws = seed_draws(problem_seed, [(t_id, t, _CONSTRAINT_TAG) for t_id, t, _ in chunk])
         yield from map(draws.normal, range(len(chunk)))
 
@@ -556,53 +562,48 @@ def run_experiment(
     history = RunningHistory(problem.constraint)
     scheduler = scheduler_factory(history)
     meter = CostMeter(history.ledger)
-    problem_seed = problem.problem_seed
+    problem_seed, space = problem.problem_seed, problem.spec.space
     curves: dict[int, TrialCurve] = {}
 
-    def start_trial(slot: _Slot) -> None:
-        trial_id = len(curves)
-        config = sample(problem.spec.space, seed, trial_id)
-        slot.curve = curves[trial_id] = problem.curve_for(config)
-        slot.trial_id, slot.iteration = trial_id, 0
-        scheduler.on_trial_start(trial_id, config.max_iterations)
-
-    def finish_trial(slot: _Slot, status: str) -> None:
-        history.trial_snapshot(slot.trial_id).status = status
-        slot.trial_id = None
+    def evaluate() -> float:
+        """The constraint evaluation of the iteration in progress, for ``step``."""
+        slot.virtual_time += curve.constraint_cost
+        normal = metric_noise(problem_seed, trial_id, t, _CONSTRAINT_TAG)
+        return eval_constraint_metric(curve, t, normal, meter)
 
     # A slot that has never run is at time 0, ahead of every busy slot (primary_cost > 0),
     # so each of the first max_concurrent turns taken while budget is left makes one.
     heap: list[tuple[float, int, _Slot]] = []
     seq = 0
     while True:
-        if seq < max_concurrent and meter.clock < budget:
+        clock = meter.ledger.total_cost  # nothing charges from here until the step
+        if seq < max_concurrent and clock < budget:
             slot = _Slot()
         elif heap:
-            _, _, slot = heapq.heappop(heap)
+            slot = heapq.heappop(heap)[2]
         else:
             break
-        if meter.clock >= budget:
-            if slot.trial_id is not None:
-                finish_trial(slot, STATUS_BUDGET_TRUNCATED)
+        row = slot.row
+        if clock >= budget:
+            if row is not None:
+                row.status = STATUS_BUDGET_TRUNCATED
             continue
-        if slot.trial_id is None:
-            start_trial(slot)
-        slot.iteration += 1
-        trial_id, t, curve = slot.trial_id, slot.iteration, slot.curve
+        if row is None:
+            trial_id = len(curves)
+            config = sample(space, seed, trial_id)
+            slot.curve = curves[trial_id] = problem.curve_for(config)
+            slot.row = row = scheduler.on_trial_start(trial_id, config.max_iterations)
+            slot.iteration = 0
+        slot.iteration = t = slot.iteration + 1
+        trial_id, curve = row.trial_id, slot.curve
 
         opt = eval_opt_metric(curve, t, metric_noise(problem_seed, trial_id, t, _OPT_TAG), meter)
         slot.virtual_time += curve.primary_cost
-
-        def evaluate(trial_id=trial_id, t=t, curve=curve, slot=slot) -> float:
-            slot.virtual_time += curve.constraint_cost
-            normal = metric_noise(problem_seed, trial_id, t, _CONSTRAINT_TAG)
-            return eval_constraint_metric(curve, t, normal, meter)
-
-        record = scheduler.step(trial_id, t, curve.max_iterations, opt, evaluate)
+        record = scheduler.step(trial_id, t, curve.max_iterations, opt, evaluate, row)
         if t >= curve.max_iterations:
-            finish_trial(slot, STATUS_COMPLETED)
+            row.status, slot.row = STATUS_COMPLETED, None
         elif record.action is Action.STOP:
-            finish_trial(slot, STATUS_STOPPED)
+            row.status, slot.row = STATUS_STOPPED, None
         heapq.heappush(heap, (slot.virtual_time, seq, slot))
         seq += 1
 

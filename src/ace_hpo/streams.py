@@ -245,12 +245,12 @@ def _draws(seed: int, words: list[np.ndarray]) -> Draws:
     return Draws(_normals(first), first, states)
 
 
-@functools.lru_cache(maxsize=20)
+@functools.lru_cache(maxsize=16)
 def grid_draws(
     seed: int, row_start: int, rows: int, col_start: int, cols: int, tail: tuple[int, ...] = ()
 ) -> Draws:
     """:func:`seed_draws` of the keys (row, col, *tail) for ``rows`` rows from
-    ``row_start`` and ``cols`` columns from ``col_start``, row-major. The 20
+    ``row_start`` and ``cols`` columns from ``col_start``, row-major. The 16
     cached grids cover the noise tiles and sampling blocks that a run has in use."""
     ends = (row_start, row_start + rows - 1, col_start, col_start + cols - 1, *tail)
     if not all(0 <= word <= _M32 for word in ends):

@@ -5,9 +5,11 @@ import csv
 import functools
 import hashlib
 import json
+import math
 import multiprocessing
 import operator
 import os
+import random
 import signal
 import statistics
 import subprocess
@@ -22,9 +24,10 @@ from hypothesis import strategies as st
 
 from ace_hpo import cli
 from ace_hpo.cli import ConfigError, _build, _scheduler_factory, load_config, main
-from ace_hpo.history import ConstraintSpec, RunningHistory
-from ace_hpo.schedulers import AceConfig, AshaConfig, IntervalMode, StoppingMode
+from ace_hpo.history import ConstraintSpec, Group, RunningHistory
+from ace_hpo.schedulers import Action, AceConfig, AshaConfig, IntervalMode, StoppingMode
 from ace_hpo.search_space import SearchSpace
+from ace_hpo.simulate import RunResult
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -573,6 +576,49 @@ def test_scheduler_factory_defaults_are_the_config_defaults():
     config = ace(history).config
     assert config.stopping_mode is StoppingMode.HARD
     assert config.interval_mode is IntervalMode.FIXED_1
+
+
+def _reference_line(cells):
+    """One CSV line by the per-type cell rules, written out rule by rule."""
+    def cell_text(cell):
+        if cell is None:
+            return ""
+        if type(cell) is bool:
+            return "true" if cell else "false"
+        if type(cell) is float:
+            return format(cell, ".17g")
+        return str(getattr(cell, "value", cell))  # an int, or a group or action by its value
+    return ",".join(map(cell_text, cells)) + "\r\n"
+
+
+def test_every_record_shape_is_written_by_the_cell_rules(tmp_path):
+    # Records of all three groups, with action None, CONTINUE and STOP, ranked or not, and
+    # opt, constraint and violation values at the float edges; shapes repeat out of order.
+    edges = [math.inf, -math.inf, math.nan, -0.0, 5e-324, 0.25]
+    history = RunningHistory(ConstraintSpec(0.0))  # 5e-324 violates by 5e-324
+    cases = [
+        (opt, value, action, rank)
+        for opt in edges
+        for value in [None, *edges]
+        for action in (None, Action.CONTINUE, Action.STOP)
+        for rank in (None, 3)
+    ]
+    random.Random(5).shuffle(cases)
+    for trial_id, (opt, value, action, rank) in enumerate(cases):
+        record = history.record_checkpoint(history.constraint.classify(trial_id, 7, opt, value))
+        record.sim_time = edges[trial_id % len(edges)]
+        record.action, record.rank = action, rank
+        record.group_size = None if rank is None else 2**40
+    assert {r.group for r in history.records} == set(Group)
+    cli._write_run_files(tmp_path, "arm", 0, RunResult(None, history))
+    for table, header, rows in (
+        ("trace", cli.TRACE_HEADER, history.records),
+        ("decisions", cli.DECISION_HEADER, [r for r in history.records if r.action is not None]),
+        ("trials", cli.TRIAL_HEADER, history.trials),
+    ):
+        lines = [_reference_line([getattr(row, name) for name in header]) for row in rows]
+        with open(tmp_path / f"arm_seed0_{table}.csv", encoding="utf-8", newline="") as handle:
+            assert handle.readlines() == [",".join(header) + "\r\n", *lines]
 
 
 class TestOutputContract:

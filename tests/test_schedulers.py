@@ -188,14 +188,18 @@ class TestAceStep:
             history.record_checkpoint(TAU.classify(trial, 1, opt, 0.1))
         history.start_trial(7, 4, None)  # a row with no record yet ranks nowhere
         sched = AceScheduler(AceConfig(truncation_percentage=0.5), history)
+
+        def decide(record):
+            return sched.decide(record, history.trial_snapshot(record.trial_id))
+
         record = history.record_checkpoint(TAU.classify(3, 1, 0.9, 0.1))
-        assert sched.decide(record) == (Action.STOP, 1, 4)
+        assert decide(record) == (Action.STOP, 1, 4)
         record = history.record_checkpoint(TAU.classify(0, 2, 0.05, 0.1))
-        assert sched.decide(record) == (Action.CONTINUE, 4, 4)
+        assert decide(record) == (Action.CONTINUE, 4, 4)
         record = history.record_checkpoint(TAU.classify(2, 2, 0.3, 0.9))
-        assert sched.decide(record) == (Action.CONTINUE, 1, 1)
+        assert decide(record) == (Action.CONTINUE, 1, 1)
         record = history.record_checkpoint(TAU.classify(1, 2, 0.4, 0.1))
-        assert sched.decide(record) == (Action.CONTINUE, 2, 3)
+        assert decide(record) == (Action.CONTINUE, 2, 3)
 
     def test_hard_mode_stops_at_first_invalid(self):
         history = fresh_history()

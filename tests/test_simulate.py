@@ -1,4 +1,6 @@
+import cProfile
 import math
+import pstats
 import random
 import statistics
 import sys
@@ -9,6 +11,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from ace_hpo import streams
 from ace_hpo.cost_model import CostParams, expected_cost_exact
 from ace_hpo.history import ConstraintSpec, CostLedger, Group, RunningHistory
 from ace_hpo.schedulers import (
@@ -436,6 +439,36 @@ class TestRunExperiment:
             run_experiment(problem, NoStoppingScheduler, budget=10.0, max_concurrent=0, seed=0)
 
 
+def run_shape(kind, budget):
+    """Python calls per simulated iteration, as cProfile counts them, and derivations of
+    draw batches (``streams._draws`` calls) of one fairness-like run at seed 0 on 4 slots,
+    begun with the draw cache cleared. Counts pin the shape of a run's cost, not its time."""
+    problem = make_problem("fairness-like", 0)
+    factory = {
+        "ace": lambda h: AceScheduler(AceConfig(), h),
+        "asha": lambda h: AshaScheduler(AshaConfig(problem.spec.space.max_iterations), h),
+    }[kind]
+    streams.grid_draws.cache_clear()
+    profile = cProfile.Profile()
+    result = profile.runcall(run_experiment, problem, factory, budget, 4, 0)
+    stats = pstats.Stats(profile)
+    draws = sum(v[1] for (_, _, name), v in stats.stats.items() if name == "_draws")
+    return stats.total_calls / result.primary_iterations, draws
+
+
+class TestRunShape:
+    """Deterministic counts that pin how much indirection and derivation a run pays."""
+
+    @pytest.mark.parametrize("kind, ceiling", [("ace", 30), ("asha", 40)])
+    def test_python_calls_per_iteration(self, kind, ceiling):
+        calls, _ = run_shape(kind, 12_000.0)
+        assert calls <= ceiling
+
+    def test_asha_derives_few_draw_batches(self):
+        _, draws = run_shape("asha", 24_000.0)
+        assert draws <= 400
+
+
 class CoinScheduler(TrialScheduler):
     """The trial the cost model prices: the constraint is checked every ``interval``
     iterations and at the last, and a check stops the trial with probability ``p``,
@@ -450,10 +483,10 @@ class CoinScheduler(TrialScheduler):
     def interval_for(self, max_iterations):
         return self.interval
 
-    def wants_constraint(self, trial_id, iteration, max_iterations, opt_metric):
+    def wants_constraint(self, row, iteration, max_iterations, opt_metric):
         return iteration % self.interval == 0 or iteration >= max_iterations
 
-    def decide(self, record):
+    def decide(self, record, row):
         key = record.trial_id << 32 | record.iteration
         if record.evaluate_constraint and random.Random(key).random() < self.p:
             return Action.STOP, None, None
@@ -596,6 +629,33 @@ class TestProblems:
             if best <= problem.constraint.threshold:
                 feasible += 1
         return feasible / SyntheticProblem.PROBE_COUNT
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        terms=st.lists(
+            st.tuples(st.floats(-20.0, 20.0), st.floats(-0.5, 1.5), st.floats(0.0, 1.0)),
+            max_size=6,
+        ),
+        quality=st.dictionaries(
+            st.sampled_from(["learning_rate", "regularization", "hidden_width"]),
+            st.floats(0.0, 1.0),
+        ),
+    )
+    def test_score_adds_its_terms_left_to_right(self, terms, quality):
+        # From Python 3.12, sum() of floats is compensated, so a score by sum() would move
+        # curve bytes with the Python version.
+        def left_to_right(terms, u):
+            total = 0.0
+            for t in terms:
+                total = total + t.weight * (u[t.param] - t.center) ** 2
+            return math.exp(-total)
+
+        landscape = tuple(LandscapeTerm(f"p{i}", c, w) for i, (w, c, _) in enumerate(terms))
+        u = {f"p{i}": x for i, (_, _, x) in enumerate(terms)}
+        assert SyntheticProblem._score(landscape, u) == left_to_right(landscape, u)
+        fairness = problem_spec("fairness-like").quality_terms
+        u = {"learning_rate": 0.3, "regularization": 0.6, "hidden_width": 1.0, **quality}
+        assert SyntheticProblem._score(fairness, u) == left_to_right(fairness, u)
 
     def test_calibration_hits_feasible_fraction(self):
         assert abs(self.feasible_share("fairness-like", 0) - 0.15) <= 0.03

@@ -178,7 +178,8 @@ class TestFirstDraws:
     @settings(max_examples=40, deadline=None)
     @given(
         seed=st.integers(0, 2**64),
-        row_start=st.sampled_from([0, 63, 511, 512, 2**32 - 9]) | st.integers(0, 2**32 - 9),
+        row_start=st.sampled_from([0, 63, 511, 512, 2047, 2048, 2**32 - 9])
+        | st.integers(0, 2**32 - 9),
         rows=st.integers(1, 9),
         col_start=st.sampled_from([0, 1, 255, 2**32 - 9]) | st.integers(0, 2**32 - 9),
         cols=st.integers(1, 9),
@@ -242,8 +243,9 @@ class TestFirstDraws:
                 ParamSpec("only", ParamKind.CHOICE, choices=("x",)),
             )
         )
-        expected = [fresh_sample(space, 2, i) for i in range(130)]
-        assert [sample(space, 2, i) for i in range(130)] == expected
+        indices = [*range(130), 511, 512, 513]
+        expected = [fresh_sample(space, 2, i) for i in indices]
+        assert [sample(space, 2, i) for i in indices] == expected
         assert crafted_draws([0, 2**64 - 1]).integers(0, 1) == 0
 
     def test_log_uniform_int_at_either_bound(self):
@@ -251,7 +253,8 @@ class TestFirstDraws:
         # highest draw of [5, 6] rounds up to 6 itself.
         spec = ParamSpec("width", ParamKind.LOG_UNIFORM_INT, 5, 6)
         draws = crafted_draws([0, 2**64 - 1])
-        got = [search_space._draw_param(search_space._table_entry(spec), draws, i) for i in range(2)]
+        table = (search_space._table_entry(spec),)
+        got = [search_space._draw_values(table, draws, i)["width"] for i in range(2)]
         assert got == [fresh_param(spec, generator_with(row)) for row in draws.states.T.tolist()]
         assert got == [5, 6]
 
@@ -279,6 +282,10 @@ class TestMetricNoise:
             (63, 8), (64, 8), (63, 15), (64, 16),        # 8-iteration tiles of 64 trials
             (1, 255), (2, 256), (3, 511), (0, 512),      # 256- and 512-iteration tiles
             (0, 1023), (0, 1024), (0, 1535), (1, 1536),  # tiles of 512 iterations each
+            (2047, 1), (2048, 1), (4095, 1), (4096, 1),  # level-0 tiles of 2048 trials
+            (255, 8), (256, 8), (255, 15), (256, 15),    # 8-iteration tiles of 256 trials
+            (1, 1024), (2, 1024), (1, 2047), (2, 2047),  # 1024-iteration tiles of 2 trials
+            (0, 2047), (0, 2048), (0, 4095), (1, 4096),  # tiles of 2048 iterations each
             (5, 0),                                      # iteration 0 has no tile
             (2**32 - 1, 2), (4, 2**32 - 1),              # the widest words
         ]
@@ -308,7 +315,7 @@ class TestMetricNoise:
     def test_same_after_eviction(self):
         first = [metric_noise(0, trial, 3, 1) for trial in range(0, 600, 37)]
         for block in range(40):
-            metric_noise(1, block * 512, 1, 0)
+            metric_noise(1, block * simulate._TILE_KEYS, 1, 0)
         info = streams.grid_draws.cache_info()
         assert info.currsize <= info.maxsize
         assert [metric_noise(0, trial, 3, 1) for trial in range(0, 600, 37)] == first
@@ -330,7 +337,8 @@ class TestSample:
 
     def test_block_edges_reversed_and_wide_indices(self):
         space = small_space()
-        indices = [0, 63, 64, 127, 128, 511, 512, 2**32 - 64, 2**32 - 1][::-1]
+        indices = [0, 63, 64, 127, 128, 511, 512, 1023, 1024, 1535, 1536, 2**32 - 64]
+        indices = (indices + [2**32 - 513, 2**32 - 512, 2**32 - 1])[::-1]
         expected = [fresh_sample(space, 9, i) for i in indices]
         assert [sample(space, 9, i) for i in indices] == expected
 
@@ -363,7 +371,7 @@ class TestBounds:
         result = run_experiment(problem, asha, budget=3000.0, max_concurrent=4, seed=0)
         assert tile_lookups == [0]  # the scan derives its own states
         scan = [r for r in result.history.records if r.action is None]
-        assert len(scan) > simulate._TILE_KEYS
+        assert len(scan) > simulate._SCAN_CHUNK
         for record in scan:
             curve = problem.curve_for(sample(problem.spec.space, 0, record.trial_id))
             noise = fresh_noise(0, record.trial_id, record.iteration, 1)
