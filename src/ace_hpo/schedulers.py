@@ -206,7 +206,8 @@ class TrialScheduler:
         regardless of the stopping rule. The action and rank are written onto
         the checkpoint's record in the history, which is returned.
         """
-        row = row or self.history.trial_snapshot(trial_id)
+        if row is None:
+            row = self.history.trial_snapshot(trial_id)
         want = self.wants_constraint(row, iteration, max_iterations, opt_metric)
         value = evaluate() if want else None
         record = self.history.constraint.classify(trial_id, iteration, opt_metric, value)

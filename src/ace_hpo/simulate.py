@@ -107,8 +107,8 @@ def _min_constraint_value(curve: TrialCurve) -> float:
 # A noise tile holds `span` iterations from `first` (a power of two below
 # _TILE_KEYS, else a multiple of it) for each of _TILE_KEYS // span trial ids.
 _TILE_KEYS = 2048
-# The span of the tile holding each iteration below _TILE_KEYS (1 for iteration 0).
-_SPANS = tuple(1 << max(i.bit_length() - 1, 0) for i in range(_TILE_KEYS))
+# log2 of the span of the tile holding each iteration below _TILE_KEYS (0 for iteration 0).
+_SPAN_BITS = bytes(max(i.bit_length() - 1, 0) for i in range(_TILE_KEYS))
 # The post-hoc scan derives its draws this many candidates at a time.
 _SCAN_CHUNK = 512
 
@@ -116,7 +116,7 @@ _SCAN_CHUNK = 512
 def metric_noise(problem_seed: int, trial_id: int, iteration: int, tag: int) -> float:
     """The standard normal an ``eval_*`` call takes, keyed by position alone: the first
     draw of ``PCG64(SeedSequence(problem_seed, spawn_key=(trial_id, iteration, tag)))``."""
-    span = _SPANS[iteration] if 0 <= iteration < _TILE_KEYS else _TILE_KEYS
+    span = 1 << _SPAN_BITS[iteration] if 0 <= iteration < _TILE_KEYS else _TILE_KEYS
     width, first = _TILE_KEYS // span, iteration & -span
     offset = trial_id % width
     tile = grid_draws(problem_seed, trial_id - offset, width, first, span, (tag,))
@@ -127,22 +127,21 @@ def metric_noise(problem_seed: int, trial_id: int, iteration: int, tag: int) -> 
 class CostMeter:
     """Simulated clock advanced only by ledger charges, so time equals total cost.
 
-    The clock reads the ledger's two kind-sums, making clock == total
-    primary cost + total constraint cost an exact identity rather than a
-    float-summation-order coincidence.
+    The clock reads the ledger's total, the sum of its two kind-sums taken at
+    each charge, making clock == total primary cost + total constraint cost an
+    exact identity rather than a float-summation-order coincidence.
     """
 
     ledger: CostLedger
 
+    def __post_init__(self) -> None:
+        # The two charges are the ledger's own methods, with no call between.
+        ledger = self.ledger
+        self.charge_primary, self.charge_constraint = ledger.add_primary, ledger.add_constraint
+
     @property
     def clock(self) -> float:
         return self.ledger.total_cost
-
-    def charge_primary(self, cost: float) -> None:
-        self.ledger.add_primary(cost)
-
-    def charge_constraint(self, cost: float) -> None:
-        self.ledger.add_constraint(cost)
 
 
 def eval_opt_metric(curve: TrialCurve, t: int, normal: float, meter: CostMeter) -> float:
