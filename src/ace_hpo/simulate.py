@@ -107,8 +107,9 @@ def _min_constraint_value(curve: TrialCurve) -> float:
 # A noise tile holds `span` iterations from `first` (a power of two below
 # _TILE_KEYS, else a multiple of it) for each of _TILE_KEYS // span trial ids.
 _TILE_KEYS = 2048
-# log2 of the span of the tile holding each iteration below _TILE_KEYS (0 for iteration 0).
-_SPAN_BITS = bytes(max(i.bit_length() - 1, 0) for i in range(_TILE_KEYS))
+# log2 of the span of the tile holding each iteration below _TILE_KEYS: 0 for iteration 0,
+# k for the 2**k iterations from 2**k.
+_SPAN_BITS = bytes(1) + b"".join(bytes([k]) * (1 << k) for k in range(_TILE_KEYS.bit_length() - 1))
 # The post-hoc scan derives its draws this many candidates at a time.
 _SCAN_CHUNK = 512
 
