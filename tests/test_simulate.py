@@ -11,7 +11,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from ace_hpo import streams
+from ace_hpo import search_space, streams
 from ace_hpo.cost_model import CostParams, expected_cost_exact
 from ace_hpo.history import ConstraintSpec, CostLedger, Group, RunningHistory
 from ace_hpo.schedulers import (
@@ -449,6 +449,7 @@ def run_shape(kind, budget):
         "asha": lambda h: AshaScheduler(AshaConfig(problem.spec.space.max_iterations), h),
     }[kind]
     streams.grid_draws.cache_clear()
+    search_space._last_block = (None, None)  # sample's memo of its last block
     profile = cProfile.Profile()
     result = profile.runcall(run_experiment, problem, factory, budget, 4, 0)
     stats = pstats.Stats(profile)
